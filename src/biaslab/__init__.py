@@ -12,7 +12,6 @@ from .analytic_linear import (
     LinearDgpCoefficients,
     ShortModelCoefficients,
     bias_vanishes_condition,
-    correct_spec_coefficients,
     omitted_coefficients,
     omitted_group_errors,
     worst_case_check,
@@ -20,14 +19,13 @@ from .analytic_linear import (
 from .analytic_probit import (
     ProbitDgpCoefficients,
     ProbitShortCoefficients,
-    correct_spec_probit,
     gaussian_cdf_expectation,
     omitted_coefficients_probit,
     omitted_group_errors_probit,
     std_normal_cdf,
 )
 from .audit import Comparison, ErrorReport, compare, error_report
-from .dgp import Dataset, DgpSpec, derive_seed, generate, logistic_cdf
+from .dgp import Dataset, DgpSpec, derive_seed, generate
 from .estimators import (
     FittedModel,
     ForestParams,
@@ -92,8 +90,6 @@ __all__ = [
     "ShortModelCoefficients",
     "bias_vanishes_condition",
     "compare",
-    "correct_spec_coefficients",
-    "correct_spec_probit",
     "derive_seed",
     "emit",
     "error_report",
@@ -105,7 +101,6 @@ __all__ = [
     "generate",
     "group_moments",
     "load_config",
-    "logistic_cdf",
     "omitted_coefficients",
     "omitted_coefficients_probit",
     "omitted_group_errors",

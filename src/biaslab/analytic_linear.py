@@ -54,18 +54,6 @@ class GroupErrorPrediction:
     tau: float
 
 
-def correct_spec_coefficients(
-    beta: LinearDgpCoefficients,
-) -> tuple[float, float, float]:
-    """Population least-squares coefficients when the model sees both features.
-
-    The best linear predictor of a linear outcome is the outcome's own
-    coefficient vector, so this is the identity; it exists to make the
-    no-bias baseline explicit and testable.
-    """
-    return (beta.beta0, beta.beta1, beta.beta2)
-
-
 def omitted_coefficients(
     beta: LinearDgpCoefficients, m: MomentSummary
 ) -> ShortModelCoefficients:

@@ -77,18 +77,6 @@ def gaussian_cdf_expectation(a: float, b: float, mu: float, sigma: float) -> flo
     return float(ndtr((a + b * mu) / sqrt(1.0 + b * b * sigma * sigma)))
 
 
-def correct_spec_probit(
-    beta: ProbitDgpCoefficients,
-) -> tuple[float, float, float]:
-    """Population probit-MLE coefficients when the model sees both features.
-
-    The MLE is consistent for the true index coefficients, so gamma = beta
-    and the prediction error Phi(x'gamma) - Phi(x'beta) is identically zero
-    pointwise, not just on average.
-    """
-    return (beta.beta0, beta.beta1, beta.beta2)
-
-
 def omitted_coefficients_probit(
     beta: ProbitDgpCoefficients, mu2: float, sigma2: float
 ) -> ProbitShortCoefficients:

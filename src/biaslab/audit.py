@@ -19,8 +19,6 @@ import numpy as np
 from .analytic_linear import GroupErrorPrediction
 from .exceptions import EmptyGroupError
 
-STATISTICS = ("b_pop", "b_group0", "b_group1", "tau")
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -54,12 +52,14 @@ class Comparison:
         return all(v == "consistent" for v in self.verdicts.values())
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    n = values.shape[0]
+def mean_se(values) -> tuple[float, float]:
+    """Exactly rounded mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1."""
+    values = np.asarray(values, dtype=float).tolist()
+    n = len(values)
     mean = math.fsum(values) / n
     if n < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values.tolist()) / (n - 1)
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
@@ -81,9 +81,9 @@ def error_report(predictions, truths, groups) -> ErrorReport:
             "both groups must be nonempty, got sizes %d and %d"
             % (e0.shape[0], e1.shape[0])
         )
-    b_pop, se_pop = _mean_se(e)
-    b0, se0 = _mean_se(e0)
-    b1, se1 = _mean_se(e1)
+    b_pop, se_pop = mean_se(e)
+    b0, se0 = mean_se(e0)
+    b1, se1 = mean_se(e1)
     return ErrorReport(
         b_pop=b_pop,
         b_group0=b0,

@@ -81,15 +81,19 @@ def _parse_beta(text: str) -> tuple[float, float, float]:
     return values
 
 
+def _run_and_emit(config, args) -> int:
+    rows = run(config)
+    emit(rows, args.fmt, args.out)
+    return 1 if any(r.verdict == "inconsistent" for r in rows) else 0
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, base_seed=args.seed)
     if args.replications is not None:
         config = dataclasses.replace(config, replications=args.replications)
-    rows = run(config)
-    emit(rows, args.fmt, args.out)
-    return 1 if any(r.verdict == "inconsistent" for r in rows) else 0
+    return _run_and_emit(config, args)
 
 
 def _cmd_analytic(args) -> int:
@@ -100,33 +104,14 @@ def _cmd_analytic(args) -> int:
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError("cannot load mixture %r: %s" % (args.mixture, err)) from err
     if args.family == "linear":
-        prediction = omitted_group_errors(LinearDgpCoefficients(*beta), mixture)
-        payload = {
-            "family": "linear",
-            "b_pop": prediction.b_pop,
-            "b_group0": prediction.b_group0,
-            "b_group1": prediction.b_group1,
-            "tau": prediction.tau,
-            "bias_vanishes": bias_vanishes_condition(LinearDgpCoefficients(*beta), mixture),
-        }
+        linear = LinearDgpCoefficients(*beta)
+        payload = dataclasses.asdict(omitted_group_errors(linear, mixture))
+        payload["bias_vanishes"] = bias_vanishes_condition(linear, mixture)
     else:
-        prediction = omitted_group_errors_probit(ProbitDgpCoefficients(*beta), mixture)
-        payload = {
-            "family": "probit",
-            "b_pop": prediction.b_pop,
-            "b_group0": prediction.b_group0,
-            "b_group1": prediction.b_group1,
-            "tau": prediction.tau,
-        }
-    print(json.dumps(payload, indent=2))
+        probit = ProbitDgpCoefficients(*beta)
+        payload = dataclasses.asdict(omitted_group_errors_probit(probit, mixture))
+    print(json.dumps({"family": args.family, **payload}, indent=2))
     return 0
-
-
-def _cmd_table1(args) -> int:
-    config = table1_config(replications=args.replications, base_seed=args.seed)
-    rows = run(config)
-    emit(rows, args.fmt, args.out)
-    return 1 if any(r.verdict == "inconsistent" for r in rows) else 0
 
 
 def main(argv=None) -> int:
@@ -136,7 +121,8 @@ def main(argv=None) -> int:
             return _cmd_run(args)
         if args.command == "analytic":
             return _cmd_analytic(args)
-        return _cmd_table1(args)
+        config = table1_config(replications=args.replications, base_seed=args.seed)
+        return _run_and_emit(config, args)
     except BiaslabError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

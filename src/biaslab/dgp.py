@@ -7,9 +7,9 @@ sampler. Seeds for replications, trees and other substreams are derived with
 :func:`derive_seed` (base XOR blake2b-64 of the tags), so every substream is
 reproducible and independent of execution order.
 
-Group labels are deterministic: the first ``n_per_group`` rows are A=0, the
-rest A=1. Fixed group sizes match the simulation design and remove one source
-of variance.
+Group labels are deterministic: of the ``2 * n_per_group`` rows, the last
+``round(2 * n_per_group * weight_protected)`` are A=1 and the rest A=0. Fixed
+group sizes match the simulation design and remove one source of variance.
 
 For classification families the stored ``y`` is the true risk Phi(index) or
 S(index) with no added noise, and ``z`` is the Bernoulli(y) draw; prediction
@@ -19,7 +19,6 @@ observe.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -37,8 +36,6 @@ CLASSIFICATION_FAMILIES = ("probit", "logit")
 _BETA_LENGTH = {"linear": 3, "polynomial": 6, "probit": 3, "logit": 3}
 _SEED_MASK = (1 << 64) - 1
 
-CSV_HEADER = ["x1", "x2", "a", "y", "z"]
-
 
 def derive_seed(base_seed: int, *tags) -> int:
     """Derive an independent 64-bit substream seed from a base seed and tags.
@@ -49,15 +46,6 @@ def derive_seed(base_seed: int, *tags) -> int:
     label = ":".join(repr(t) for t in tags).encode()
     h = hashlib.blake2b(label, digest_size=8).digest()
     return (int(base_seed) ^ int.from_bytes(h, "big")) & _SEED_MASK
-
-
-def logistic_cdf(x):
-    """Standard logistic CDF S(x) = 1 / (1 + exp(-x)).
-
-    Evaluated in the numerically stable two-branch form; no overflow for
-    any float argument and no underflow to zero until past |x| ~ 709.
-    """
-    return expit(x)
 
 
 @dataclass(frozen=True)
@@ -74,7 +62,8 @@ class DgpSpec:
     mixture : MixtureSpec
         Group-conditional feature distributions and weights.
     n_per_group : int
-        Rows generated for each group label.
+        Half the row count: ``2 * n_per_group`` rows are drawn and split
+        between the groups by the mixture's ``weight_protected``.
     """
 
     family: str
@@ -94,13 +83,10 @@ class DgpSpec:
             )
         if not all(math.isfinite(b) for b in beta):
             raise ValueError("beta entries must be finite")
-        if int(self.n_per_group) != self.n_per_group or self.n_per_group < 1:
-            raise ValueError("n_per_group must be a positive integer")
-        object.__setattr__(self, "n_per_group", int(self.n_per_group))
-
-    @property
-    def is_classification(self) -> bool:
-        return self.family in CLASSIFICATION_FAMILIES
+        n = self.n_per_group
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+            raise ValueError("n_per_group must be a positive integer, got %r" % (n,))
+        object.__setattr__(self, "n_per_group", int(n))
 
 
 @dataclass
@@ -120,43 +106,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x1.shape[0]
-
-    def to_csv(self, path) -> None:
-        """Write rows with header x1,x2,a,y,z; z is empty for regression."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(CSV_HEADER)
-            z = self.z
-            for i in range(self.n):
-                writer.writerow(
-                    [
-                        repr(float(self.x1[i])),
-                        repr(float(self.x2[i])),
-                        int(self.a[i]),
-                        repr(float(self.y[i])),
-                        "" if z is None else int(z[i]),
-                    ]
-                )
-
-    @classmethod
-    def from_csv(cls, path) -> "Dataset":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != CSV_HEADER:
-                raise ValueError("unexpected CSV header %r" % (header,))
-            cols = {name: [] for name in CSV_HEADER}
-            for row in reader:
-                for name, value in zip(CSV_HEADER, row):
-                    cols[name].append(value)
-        has_z = any(v != "" for v in cols["z"])
-        return cls(
-            x1=np.array([float(v) for v in cols["x1"]]),
-            x2=np.array([float(v) for v in cols["x2"]]),
-            a=np.array([int(v) for v in cols["a"]], dtype=np.int64),
-            y=np.array([float(v) for v in cols["y"]]),
-            z=np.array([int(v) for v in cols["z"]], dtype=np.int64) if has_z else None,
-        )
 
 
 def _cholesky_2x2(cov: np.ndarray) -> np.ndarray:
@@ -192,7 +141,10 @@ def _regression_mean(spec: DgpSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarra
 
 
 def generate(spec: DgpSpec, seed: int) -> Dataset:
-    """Simulate a dataset: n_per_group rows of group 0, then of group 1.
+    """Simulate 2 * n_per_group rows: group 0's, then group 1's.
+
+    Group 1 gets round(2 * n_per_group * weight_protected) rows, so the
+    sample's group shares follow the mixture's weights.
 
     Features come from each group's bivariate normal via an explicit 2x2
     Cholesky factor; regression outcomes add N(0,1) noise; classification
@@ -200,23 +152,25 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
     Identical (spec, seed) gives a bit-identical Dataset.
     """
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
-    n = spec.n_per_group
+    n = 2 * spec.n_per_group
+    n_protected = round(n * spec.mixture.weight_protected)
+    sizes = (n - n_protected, n_protected)
     parts = []
-    for g in spec.mixture.groups:
-        standard = rng.standard_normal((n, 2))
+    for g, size in zip(spec.mixture.groups, sizes):
+        standard = rng.standard_normal((size, 2))
         chol = _cholesky_2x2(g.cov_array())
         parts.append(standard @ chol.T + g.mean_array())
     features = np.vstack(parts)
     x1 = features[:, 0].copy()
     x2 = features[:, 1].copy()
-    a = np.repeat(np.array([0, 1], dtype=np.int64), n)
+    a = np.repeat(np.array([0, 1], dtype=np.int64), sizes)
 
     if spec.family in REGRESSION_FAMILIES:
-        noise = rng.standard_normal(2 * n)
+        noise = rng.standard_normal(n)
         y = _regression_mean(spec, x1, x2) + noise
         return Dataset(x1=x1, x2=x2, a=a, y=y, z=None)
 
     index = _index(spec.beta, x1, x2)
     y = ndtr(index) if spec.family == "probit" else expit(index)
-    z = (rng.random(2 * n) < y).astype(np.int64)
+    z = (rng.random(n) < y).astype(np.int64)
     return Dataset(x1=x1, x2=x2, a=a, y=y, z=z)

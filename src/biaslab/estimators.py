@@ -87,28 +87,20 @@ class FittedModel:
     forest_params: ForestParams | None = None
     diagnostics: FitDiagnostics | None = None
 
-    def to_summary(self) -> dict:
-        out = {
-            "family": self.family,
-            "features": self.features,
-            "coefficients": None if self.coefficients is None else list(self.coefficients),
-        }
-        if self.diagnostics is not None:
-            out["diagnostics"] = {
-                "iterations": self.diagnostics.iterations,
-                "grad_max": self.diagnostics.grad_max,
-            }
-        return out
-
 
 def fit_ols(data: Dataset, features: str) -> FittedModel:
     """Least squares of y on an intercept plus the selected features.
 
     Solves the normal equations by LU factorization with partial pivoting.
-    Full column rank is required: smallest/largest singular value of the
-    design must exceed 1e-10, else RankDeficiencyError.
+    Full column rank is required: at least as many rows as columns, and a
+    smallest/largest singular value ratio above 1e-10, else
+    RankDeficiencyError.
     """
     x = _design(data.x1, data.x2, features)
+    if x.shape[0] < x.shape[1]:
+        raise RankDeficiencyError(
+            "design has %d rows for %d columns; least squares is underdetermined" % x.shape
+        )
     sv = np.linalg.svd(x, compute_uv=False)
     if sv[0] == 0.0 or sv[-1] / sv[0] <= _RANK_TOL:
         raise RankDeficiencyError(

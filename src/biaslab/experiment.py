@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 
 from .analytic_linear import (
@@ -38,7 +37,7 @@ from .analytic_linear import (
     omitted_group_errors,
 )
 from .analytic_probit import ProbitDgpCoefficients, omitted_group_errors_probit
-from .audit import Comparison, ErrorReport, compare, error_report
+from .audit import ErrorReport, compare, error_report, mean_se
 from .dgp import (
     CLASSIFICATION_FAMILIES,
     DgpSpec,
@@ -65,11 +64,6 @@ MODELS = ("ols", "probit", "logit", "forest")
 DEFAULT_SEED = 20240914
 DEFAULT_REPLICATIONS = 30
 
-CSV_HEADER = (
-    "dgp,model,features,b_pop,b_g0,b_g1,tau,"
-    "se_pop,se_g0,se_g1,se_tau,analytic_b_g0,analytic_b_g1,analytic_tau,verdict"
-)
-
 # Slack for the probit closed form when the groups' X2 means differ. It does
 # not cover the closed form's error: its group levels sit a common 0.030 above
 # the population limit of the fitted short probit on group means (1, 1) and
@@ -87,6 +81,14 @@ TABLE_MIXTURE = MixtureSpec(
     ),
     weight_protected=0.5,
 )
+
+
+def _check_int(name: str, value, minimum: int | None = None) -> None:
+    """Refuse anything but an exact integer (bools too) at or above minimum."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
+    if minimum is not None and value < minimum:
+        raise ConfigError("%s must be >= %d, got %d" % (name, minimum, value))
 
 
 @dataclass(frozen=True)
@@ -108,8 +110,13 @@ class ExperimentCell:
                 "%s model needs binary outcomes; DGP family %r has none"
                 % (self.model, self.dgp.family)
             )
-        if self.replications is not None and self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        if self.replications is not None:
+            _check_int("replications", self.replications, minimum=1)
+        min_leaf = ForestParams().min_leaf
+        if self.model == "forest" and self.dgp.n_per_group < min_leaf:
+            raise ConfigError(
+                "forest cells need n_per_group >= %d, got %d" % (min_leaf, self.dgp.n_per_group)
+            )
 
 
 @dataclass(frozen=True)
@@ -123,8 +130,11 @@ class ExperimentConfig:
         object.__setattr__(self, "cells", tuple(self.cells))
         if not self.cells:
             raise ConfigError("config needs at least one cell")
-        if self.replications < 1:
-            raise ConfigError("replications must be >= 1")
+        _check_int("replications", self.replications, minimum=1)
+        _check_int("seed", self.base_seed)
+        z = self.z_threshold
+        if isinstance(z, bool) or not isinstance(z, (int, float)) or not 0 < z < math.inf:
+            raise ConfigError("z_threshold must be a finite positive number, got %r" % (z,))
 
 
 _ROW_FIELDS = (
@@ -146,44 +156,40 @@ _ROW_FIELDS = (
     "verdict",
     "error",
 )
+_CSV_FIELDS = tuple(name for name in _ROW_FIELDS if name not in ("replications", "error"))
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 @dataclass
 class ResultRow:
-    """Aggregated statistics for one cell.
+    """Aggregated statistics for one cell; an error row keeps NaN statistics.
 
-    ``wall_time``, ``reports`` and ``comparison`` are runtime extras and
-    are excluded from serialization so emitted output depends only on the
-    config (byte-identical reruns).
+    ``reports`` (the per-replication audits, kept on request) is a runtime
+    extra and is excluded from serialization so emitted output depends only
+    on the config (byte-identical reruns).
     """
 
     dgp: str
     model: str
     features: str
     replications: int
-    b_pop: float
-    b_g0: float
-    b_g1: float
-    tau: float
-    se_pop: float
-    se_g0: float
-    se_g1: float
-    se_tau: float
+    b_pop: float = math.nan
+    b_g0: float = math.nan
+    b_g1: float = math.nan
+    tau: float = math.nan
+    se_pop: float = math.nan
+    se_g0: float = math.nan
+    se_g1: float = math.nan
+    se_tau: float = math.nan
     analytic_b_g0: float | None = None
     analytic_b_g1: float | None = None
     analytic_tau: float | None = None
     verdict: str = ""
     error: str = ""
-    wall_time: float = 0.0
     reports: tuple[ErrorReport, ...] | None = field(default=None, repr=False)
-    comparison: Comparison | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _ROW_FIELDS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRow":
-        return cls(**{name: d[name] for name in _ROW_FIELDS})
 
 
 def analytic_for_cell(cell: ExperimentCell) -> tuple[GroupErrorPrediction | None, float]:
@@ -224,103 +230,67 @@ def run_replication(cell: ExperimentCell, seed: int) -> ErrorReport:
     return error_report(predictions, dataset.y, dataset.a)
 
 
-def aggregate(indexed_reports: list[tuple[int, ErrorReport]]) -> dict[str, float]:
+def aggregate(indexed_reports: list[tuple[int, ErrorReport]]) -> ErrorReport:
     """Combine per-replication reports into means and replication SEs.
 
     Input pairs may arrive in any order; they are sorted by replication
-    index first, so the result is independent of execution schedule. With
-    a single replication the report's own within-sample SEs are passed
-    through; otherwise SE = std(stat across reps, ddof=1) / sqrt(R).
+    index first, so the result is independent of execution schedule. A
+    single replication is returned as it is, with its within-sample SEs;
+    otherwise SE = std(stat across reps, ddof=1) / sqrt(R) and the row
+    counts are summed.
     """
     reports = [rep for _, rep in sorted(indexed_reports, key=lambda pair: pair[0])]
-    n = len(reports)
-    if n == 1:
-        only = reports[0]
-        return {
-            "b_pop": only.b_pop,
-            "b_g0": only.b_group0,
-            "b_g1": only.b_group1,
-            "tau": only.tau,
-            "se_pop": only.se_pop,
-            "se_g0": only.se_group0,
-            "se_g1": only.se_group1,
-            "se_tau": only.se_tau,
-        }
-
-    def mean_se(values: list[float]) -> tuple[float, float]:
-        mean = math.fsum(values) / n
-        var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
-        return mean, math.sqrt(var / n)
-
+    if len(reports) == 1:
+        return reports[0]
     b_pop, se_pop = mean_se([r.b_pop for r in reports])
     b_g0, se_g0 = mean_se([r.b_group0 for r in reports])
     b_g1, se_g1 = mean_se([r.b_group1 for r in reports])
     _, se_tau = mean_se([r.tau for r in reports])
-    return {
-        "b_pop": b_pop,
-        "b_g0": b_g0,
-        "b_g1": b_g1,
-        "tau": b_g1 - b_g0,  # identity holds exactly for the reported means
-        "se_pop": se_pop,
-        "se_g0": se_g0,
-        "se_g1": se_g1,
-        "se_tau": se_tau,
-    }
+    return ErrorReport(
+        b_pop=b_pop,
+        b_group0=b_g0,
+        b_group1=b_g1,
+        tau=b_g1 - b_g0,  # identity holds exactly for the reported means
+        se_pop=se_pop,
+        se_group0=se_g0,
+        se_group1=se_g1,
+        se_tau=se_tau,
+        n_pop=sum(r.n_pop for r in reports),
+        n_group0=sum(r.n_group0 for r in reports),
+        n_group1=sum(r.n_group1 for r in reports),
+    )
 
 
 def run_cell(
     cell: ExperimentCell, cell_index: int, config: ExperimentConfig, keep_reports: bool = False
 ) -> ResultRow:
-    started = time.perf_counter()
     replications = cell.replications or config.replications
-    base = dict(
-        dgp=cell.dgp.family,
-        model=cell.model,
-        features=cell.features,
-        replications=replications,
-    )
+    row = ResultRow(cell.dgp.family, cell.model, cell.features, replications)
     try:
-        indexed = [
-            (r, run_replication(cell, derive_seed(config.base_seed, cell_index, r)))
+        reports = tuple(
+            run_replication(cell, derive_seed(config.base_seed, cell_index, r))
             for r in range(replications)
-        ]
-    except BiaslabError as err:
-        nan = float("nan")
-        return ResultRow(
-            **base,
-            b_pop=nan, b_g0=nan, b_g1=nan, tau=nan,
-            se_pop=nan, se_g0=nan, se_g1=nan, se_tau=nan,
-            verdict="error",
-            error="%s: %s" % (type(err).__name__, err),
-            wall_time=time.perf_counter() - started,
         )
-    stats = aggregate(indexed)
-    reports = tuple(rep for _, rep in sorted(indexed, key=lambda pair: pair[0]))
-    row = ResultRow(**base, **stats, wall_time=0.0)
+    except BiaslabError as err:
+        row.verdict = "error"
+        row.error = "%s: %s" % (type(err).__name__, err)
+        return row
+    report = aggregate(list(enumerate(reports)))
+    row.b_pop, row.b_g0, row.b_g1, row.tau = (
+        report.b_pop, report.b_group0, report.b_group1, report.tau
+    )
+    row.se_pop, row.se_g0, row.se_g1, row.se_tau = (
+        report.se_pop, report.se_group0, report.se_group1, report.se_tau
+    )
     analytic, extra_tol = analytic_for_cell(cell)
     if analytic is not None:
-        pooled = ErrorReport(
-            b_pop=row.b_pop,
-            b_group0=row.b_g0,
-            b_group1=row.b_g1,
-            tau=row.tau,
-            se_pop=row.se_pop,
-            se_group0=row.se_g0,
-            se_group1=row.se_g1,
-            se_tau=row.se_tau,
-            n_pop=sum(r.n_pop for r in reports),
-            n_group0=sum(r.n_group0 for r in reports),
-            n_group1=sum(r.n_group1 for r in reports),
-        )
-        comparison = compare(analytic, pooled, config.z_threshold, extra_tol)
+        comparison = compare(analytic, report, config.z_threshold, extra_tol)
         row.analytic_b_g0 = analytic.b_group0
         row.analytic_b_g1 = analytic.b_group1
         row.analytic_tau = analytic.tau
         row.verdict = "consistent" if comparison.consistent else "inconsistent"
-        row.comparison = comparison
     if keep_reports:
         row.reports = reports
-    row.wall_time = time.perf_counter() - started
     return row
 
 
@@ -379,20 +349,8 @@ def render(rows: list[ResultRow], fmt: str) -> str:
     if fmt == "csv":
         lines = [CSV_HEADER]
         for r in rows:
-            lines.append(
-                ",".join(
-                    [r.dgp, r.model, r.features]
-                    + [
-                        _sig6(v)
-                        for v in (
-                            r.b_pop, r.b_g0, r.b_g1, r.tau,
-                            r.se_pop, r.se_g0, r.se_g1, r.se_tau,
-                            r.analytic_b_g0, r.analytic_b_g1, r.analytic_tau,
-                        )
-                    ]
-                    + [r.verdict]
-                )
-            )
+            values = (getattr(r, name) for name in _CSV_FIELDS)
+            lines.append(",".join(v if isinstance(v, str) else _sig6(v) for v in values))
         return "\n".join(lines) + "\n"
     if fmt == "markdown":
         header = "| DGP | Model | Features | b_pop | b_group0 | b_group1 | tau |"

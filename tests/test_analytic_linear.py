@@ -12,7 +12,6 @@ from biaslab.analytic_linear import (
     LinearDgpCoefficients,
     ShortModelCoefficients,
     bias_vanishes_condition,
-    correct_spec_coefficients,
     omitted_coefficients,
     omitted_group_errors,
     worst_case_check,
@@ -30,10 +29,6 @@ REFERENCE = make_mixture(
     cov0=((1.0, 0.5), (0.5, 1.0)),
     cov1=((1.0, -0.5), (-0.5, 1.0)),
 )
-
-
-def test_correct_specification_returns_the_dgp_coefficients():
-    assert correct_spec_coefficients(BETA) == (-2.0, 1.0, 1.0)
 
 
 def test_short_coefficients_with_uncorrelated_features():

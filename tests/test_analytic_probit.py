@@ -7,7 +7,6 @@ import pytest
 
 from biaslab.analytic_probit import (
     ProbitDgpCoefficients,
-    correct_spec_probit,
     gaussian_cdf_expectation,
     omitted_coefficients_probit,
     omitted_group_errors_probit,
@@ -90,10 +89,6 @@ def test_gaussian_cdf_expectation_matches_quadrature():
             / math.sqrt(math.pi)
         )
         assert gaussian_cdf_expectation(a, b, mu, sigma) == pytest.approx(quad, abs=1e-6)
-
-
-def test_correct_specification_returns_the_dgp_coefficients():
-    assert correct_spec_probit(BETA) == (-2.0, 1.0, 1.0)
 
 
 def test_short_coefficients_attenuate():

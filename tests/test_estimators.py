@@ -81,6 +81,14 @@ def test_ols_rejects_collinear_designs():
         fit_ols(ds, "both")
 
 
+def test_ols_rejects_fewer_rows_than_columns():
+    # One row per group with both features: a 2x3 design has no unique fit.
+    ds = dataset("linear", (-2.0, 1.0, 1.0), n=1, seed=3)
+    with pytest.raises(RankDeficiencyError, match="2 rows for 3 columns"):
+        fit_ols(ds, "both")
+    assert len(fit_ols(ds, "x1_only").coefficients) == 2
+
+
 def test_ols_error_shrinks_with_sample_size():
     errors = []
     for n in (1_000, 10_000, 100_000):

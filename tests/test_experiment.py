@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import biaslab
 from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
 from biaslab.audit import ErrorReport
 from biaslab.cli import main
@@ -18,7 +19,6 @@ from biaslab.experiment import (
     ExperimentCell,
     ExperimentConfig,
     PROBIT_MIXTURE_TOLERANCE,
-    ResultRow,
     TABLE_BETA,
     TABLE_BETA_POLY,
     TABLE_MIXTURE,
@@ -31,7 +31,7 @@ from biaslab.experiment import (
     table1_config,
 )
 
-from conftest import independent_mixture
+from conftest import independent_mixture, make_mixture
 
 
 def small_cell(family="linear", model="ols", features="x1_only", n=300, mixture=None):
@@ -160,6 +160,15 @@ def test_failed_cells_become_error_rows():
     assert rows[1].verdict == "consistent"
 
 
+def test_unequal_group_weights_match_the_closed_form():
+    # 900 rows of group 0 and 100 of group 1 per replication, as the weight says.
+    mixture = make_mixture((0.0, 1.0), (0.5, 3.0), weight=0.1)
+    spec = DgpSpec(family="linear", beta=(-0.5, 1.0, 1.0), mixture=mixture, n_per_group=500)
+    cell = ExperimentCell(dgp=spec, model="ols", features="x1_only")
+    row = run(small_config([cell], replications=5))[0]
+    assert row.verdict == "consistent"
+
+
 def test_per_cell_replication_override():
     cell = small_cell(n=500)
     solo = ExperimentCell(dgp=cell.dgp, model=cell.model, features=cell.features, replications=1)
@@ -193,19 +202,20 @@ def test_aggregate_is_order_invariant():
 
 def test_aggregate_recomputes_tau_and_replication_ses():
     indexed = [(r, fake_report(r)) for r in range(5)]
-    stats = aggregate(indexed)
+    report = aggregate(indexed)
     b0s = [rep.b_group0 for _, rep in indexed]
-    assert stats["b_g0"] == pytest.approx(sum(b0s) / 5, abs=1e-12)
-    assert stats["tau"] == stats["b_g1"] - stats["b_g0"]
-    assert stats["se_g0"] == pytest.approx(np.std(b0s, ddof=1) / math.sqrt(5), rel=1e-12)
+    assert report.b_group0 == pytest.approx(sum(b0s) / 5, abs=1e-12)
+    assert report.tau == report.b_group1 - report.b_group0
+    assert report.se_group0 == pytest.approx(np.std(b0s, ddof=1) / math.sqrt(5), rel=1e-12)
+    assert (report.n_pop, report.n_group0, report.n_group1) == (500, 250, 250)
 
 
 def test_aggregate_single_replication_passes_through():
     only = fake_report(9)
-    stats = aggregate([(0, only)])
-    assert stats["b_g0"] == only.b_group0
-    assert stats["se_g0"] == only.se_group0
-    assert stats["se_tau"] == only.se_tau
+    report = aggregate([(0, only)])
+    assert report.b_group0 == only.b_group0
+    assert report.se_group0 == only.se_group0
+    assert report.se_tau == only.se_tau
 
 
 def test_runs_are_deterministic():
@@ -248,9 +258,8 @@ def test_markdown_layout():
 def test_json_round_trip():
     rows = run(small_config([small_cell(n=300)]))
     payload = json.loads(render(rows, "json"))
-    back = ResultRow.from_dict(payload["rows"][0])
-    assert back.to_dict() == rows[0].to_dict()
-    assert back.b_g0 == rows[0].b_g0  # full precision survives
+    assert payload["rows"][0] == rows[0].to_dict()
+    assert payload["rows"][0]["b_g0"] == rows[0].b_g0  # full precision survives
 
 
 def test_unknown_format_rejected():
@@ -357,6 +366,45 @@ def test_cli_rejects_missing_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def with_cell(n_per_group=200, **cell):
+    obj = config_json()
+    obj["cells"][0]["dgp"]["n_per_group"] = n_per_group
+    obj["cells"][0].update(cell)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        config_json(seed="abc"),
+        config_json(replications=2.5),
+        config_json(replications=True),
+        config_json(z_threshold="x"),
+        config_json(z_threshold=-1),
+        config_json(z_threshold=math.inf),
+        with_cell(n_per_group=True),
+        with_cell(replications=1.5),
+        with_cell(n_per_group=3, model="forest"),
+    ],
+    ids=[
+        "string-seed",
+        "fractional-replications",
+        "bool-replications",
+        "string-z",
+        "negative-z",
+        "infinite-z",
+        "bool-n-per-group",
+        "fractional-cell-replications",
+        "forest-below-min-leaf",
+    ],
+)
+def test_cli_refuses_malformed_values_at_parse_time(tmp_path, capsys, obj):
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+
+
 def test_cli_analytic_linear(tmp_path, capsys):
     mix = tmp_path / "mixture.json"
     mix.write_text(json.dumps(MIXTURE_JSON))
@@ -399,3 +447,12 @@ def test_cli_entry_point_runs_as_module(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["tau"] == pytest.approx(-0.37589346050503821, abs=1e-12)
+
+
+# --- package surface ---
+
+
+def test_public_names_resolve_sorted_and_unique():
+    names = list(biaslab.__all__)
+    assert [name for name in names if not hasattr(biaslab, name)] == []
+    assert names == sorted(set(names))
