@@ -21,7 +21,6 @@ from .exceptions import ConvergenceError, RankDeficiencyError, SeparationError
 FEATURE_SETS = ("both", "x1_only")
 
 _GRAD_TOL = 1e-6
-_STEP_TOL = 1e-8
 _MAX_ITER = 100
 _MAX_HALVINGS = 30
 # Accepted index magnitudes beyond this mean the likelihood is driving the
@@ -84,7 +83,6 @@ class FittedModel:
     features: str
     coefficients: tuple[float, ...] | None = None
     forest: tuple[Tree, ...] | None = None
-    forest_params: ForestParams | None = None
     diagnostics: FitDiagnostics | None = None
 
 
@@ -155,15 +153,13 @@ class _LogitLink:
 def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiagnostics]:
     """Damped Newton ascent of the Bernoulli log-likelihood.
 
-    Starts at zero, halves the step until the log-likelihood does not
-    decrease beyond its own rounding floor (relative 1e-12; the true
+    Starts at zero and checks the gradient before each step: a max-norm
+    <= 1e-6 returns, and a gradient still above it after 100 steps raises
+    ConvergenceError. Each step is halved until the log-likelihood does
+    not decrease beyond its own rounding floor (relative 1e-12; the true
     improvement of a near-optimal step can round away in a sum of n
-    terms), and stops once the gradient max-norm is <= 1e-6. A step below
-    1e-8 returns early only if the gradient has also passed; with a
-    still-large gradient the loop continues (near the optimum quadratic
-    convergence finishes in one more pass). Accepted iterates whose index
-    magnitudes pass 30 raise SeparationError (the MLE is running off to
-    infinity); exhausting 100 iterations raises ConvergenceError.
+    terms). Accepted iterates whose index magnitudes pass 30 raise
+    SeparationError (the MLE is running off to infinity).
     """
     if z.min() == z.max():
         raise SeparationError("all outcomes are the same class; the MLE does not exist")
@@ -171,13 +167,18 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
     eta = x @ coef
     ll = link.loglik(eta, z)
     trace = [ll]
-    for iteration in range(1, _MAX_ITER + 1):
+    for iteration in range(_MAX_ITER + 1):
         u, w = link.grad_weights(eta, z)
         grad = x.T @ u
         grad_max = float(np.max(np.abs(grad)))
         if grad_max <= _GRAD_TOL:
             return coef, FitDiagnostics(
-                iterations=iteration - 1, grad_max=grad_max, log_likelihood=tuple(trace)
+                iterations=iteration, grad_max=grad_max, log_likelihood=tuple(trace)
+            )
+        if iteration == _MAX_ITER:
+            raise ConvergenceError(
+                "no convergence after %d iterations (gradient max-norm %.3e)"
+                % (_MAX_ITER, grad_max)
             )
         info = x.T @ (x * w[:, None])
         try:
@@ -188,7 +189,7 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
         if float(np.max(np.abs(x @ (coef + step)))) > _SEPARATION_INDEX:
             raise SeparationError(
                 "index magnitudes exceed %g at iteration %d; data appear separable"
-                % (_SEPARATION_INDEX, iteration)
+                % (_SEPARATION_INDEX, iteration + 1)
             )
 
         slack = 1e-12 * max(1.0, abs(ll))
@@ -203,24 +204,10 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
         else:
             raise ConvergenceError(
                 "line search failed after %d halvings at iteration %d"
-                % (_MAX_HALVINGS, iteration)
+                % (_MAX_HALVINGS, iteration + 1)
             )
-
-        step_max = float(np.max(np.abs(scale * step)))
         coef, eta, ll = trial, eta_trial, ll_trial
         trace.append(ll)
-        if step_max < _STEP_TOL:
-            u, _ = link.grad_weights(eta, z)
-            grad_max = float(np.max(np.abs(x.T @ u)))
-            if grad_max <= _GRAD_TOL:
-                return coef, FitDiagnostics(
-                    iterations=iteration, grad_max=grad_max, log_likelihood=tuple(trace)
-                )
-    u, _ = link.grad_weights(eta, z)
-    raise ConvergenceError(
-        "no convergence after %d iterations (gradient max-norm %.3e)"
-        % (_MAX_ITER, float(np.max(np.abs(x.T @ u))))
-    )
 
 
 def _fit_mle(data: Dataset, features: str, link, family: str) -> FittedModel:
@@ -248,72 +235,53 @@ def fit_logit(data: Dataset, features: str) -> FittedModel:
 
 
 def _grow_tree(xmat: np.ndarray, y: np.ndarray, params: ForestParams) -> Tree:
-    """CART regression tree: greedy variance-reduction splits, depth-capped."""
-    n_features = xmat.shape[1]
-    feature, threshold, left, right, value = [], [], [], [], []
+    """CART regression tree: greedy variance-reduction splits, depth-capped.
 
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(0.0)
-        return len(feature) - 1
-
-    root = new_node()
-    stack = [(root, np.arange(y.shape[0]), 0)]
+    Each node scores every (feature, left size) pair in one pass and takes
+    the first minimum: ties go to the lower feature, then the smaller left
+    child. The threshold is the midpoint of the two values the split falls
+    between, or the lower one where the midpoint rounds up to the upper,
+    so the applied split is always the scored one.
+    """
+    xt = np.ascontiguousarray(xmat.T)  # feature-major: each node sorts rows of it
+    lo = params.min_leaf
+    nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
+    stack = [(0, np.arange(y.shape[0]), 0)]
     while stack:
         node, rows, depth = stack.pop()
         yr = y[rows]
         m = rows.shape[0]
-        value[node] = float(yr.mean())
-        if depth >= params.max_depth or m < 2 * params.min_leaf or yr.min() == yr.max():
+        nodes[node][4] = float(yr.mean())
+        if depth >= params.max_depth or m < 2 * lo or yr.min() == yr.max():
             continue
-
-        best = None  # (cost, feature, threshold, sorted rows, left size)
-        for f in range(n_features):
-            xf = xmat[rows, f]
-            order = np.argsort(xf, kind="stable")
-            xs = xf[order]
-            ys = yr[order]
-            csum = np.cumsum(ys)
-            csum2 = np.cumsum(ys * ys)
-            total, total2 = csum[-1], csum2[-1]
-            sizes = np.arange(params.min_leaf, m - params.min_leaf + 1)
-            valid = xs[sizes - 1] < xs[sizes]
-            if not valid.any():
-                continue
-            sizes = sizes[valid]
-            ls, ls2 = csum[sizes - 1], csum2[sizes - 1]
-            rs, rs2 = total - ls, total2 - ls2
-            cost = (ls2 - ls * ls / sizes) + (rs2 - rs * rs / (m - sizes))
-            pick = int(np.argmin(cost))
-            if best is None or cost[pick] < best[0]:
-                i = int(sizes[pick])
-                thr = 0.5 * (xs[i - 1] + xs[i])
-                if not xs[i - 1] < thr:  # adjacent floats can round the midpoint
-                    thr = xs[i - 1]
-                best = (float(cost[pick]), f, float(thr), rows[order], i)
-
-        if best is None:
+        xr = xt[:, rows]
+        order = np.argsort(xr, axis=1, kind="stable")
+        xs = np.take_along_axis(xr, order, axis=1)
+        ys = yr[order]
+        csum = np.cumsum(ys, axis=1)
+        csum2 = np.cumsum(ys * ys, axis=1)
+        hi = m - lo
+        sizes = np.arange(lo, hi + 1)  # left child sizes
+        ls, ls2 = csum[:, lo - 1 : hi], csum2[:, lo - 1 : hi]
+        rs, rs2 = csum[:, -1:] - ls, csum2[:, -1:] - ls2
+        cost = (ls2 - ls * ls / sizes) + (rs2 - rs * rs / (m - sizes))
+        cost = np.where(xs[:, lo - 1 : hi] < xs[:, lo : hi + 1], cost, np.inf)
+        f, i = divmod(int(np.argmin(cost)), cost.shape[1])
+        if cost[f, i] == np.inf:
             continue
-        _, f, thr, sorted_rows, i = best
-        go_left = xmat[sorted_rows, f] <= thr
-        left_rows = sorted_rows[go_left]
-        right_rows = sorted_rows[~go_left]
-        if min(left_rows.shape[0], right_rows.shape[0]) < params.min_leaf:
-            # midpoint landed on the upper value; split on the lower one
-            thr = float(xmat[sorted_rows[i - 1], f])
-            go_left = xmat[sorted_rows, f] <= thr
-            left_rows = sorted_rows[go_left]
-            right_rows = sorted_rows[~go_left]
-        feature[node] = f
-        threshold[node] = thr
-        lid, rid = new_node(), new_node()
-        left[node], right[node] = lid, rid
-        stack.append((lid, left_rows, depth + 1))
-        stack.append((rid, right_rows, depth + 1))
+        i += lo
+        below, above = float(xs[f, i - 1]), float(xs[f, i])
+        thr = 0.5 * (below + above)
+        if not thr < above:  # adjacent floats: the midpoint rounded up
+            thr = below
+        sorted_rows = rows[order[f]]
+        lid, rid = len(nodes), len(nodes) + 1
+        nodes[node][:4] = f, thr, lid, rid
+        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        stack.append((lid, sorted_rows[:i], depth + 1))
+        stack.append((rid, sorted_rows[i:], depth + 1))
 
+    feature, threshold, left, right, value = zip(*nodes)
     return Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=float),
@@ -347,9 +315,7 @@ def fit_forest(
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
         boot = rng.integers(0, n, size=n_boot)
         trees.append(_grow_tree(x[boot], y[boot], params))
-    return FittedModel(
-        family="forest", features=features, forest=tuple(trees), forest_params=params
-    )
+    return FittedModel(family="forest", features=features, forest=tuple(trees))
 
 
 def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:

@@ -19,8 +19,9 @@ Analytic predictions are attached where a closed form exists:
   rather than the Gaussian the derivation assumes. That slack does not
   cover the closed form's level shift (see PROBIT_MIXTURE_TOLERANCE).
 
-Cells whose fit raises (separation, rank deficiency, non-convergence) are
-recorded as rows with an error message and verdict "error"; a grid run
+Cells whose fit raises (separation, rank deficiency, non-convergence) or
+whose audit has a non-finite statistic are recorded as rows with verdict
+"error" and a message naming the replication and its seed; a grid run
 always produces a full report.
 """
 
@@ -261,20 +262,29 @@ def aggregate(indexed_reports: list[tuple[int, ErrorReport]]) -> ErrorReport:
     )
 
 
+def _non_finite(report: ErrorReport) -> str:
+    """Name the report's non-finite statistics, or "" when all are finite."""
+    names = [name for name, value in vars(report).items() if not math.isfinite(value)]
+    return "non-finite statistics: %s" % ", ".join(names) if names else ""
+
+
 def run_cell(
     cell: ExperimentCell, cell_index: int, config: ExperimentConfig, keep_reports: bool = False
 ) -> ResultRow:
     replications = cell.replications or config.replications
     row = ResultRow(cell.dgp.family, cell.model, cell.features, replications)
-    try:
-        reports = tuple(
-            run_replication(cell, derive_seed(config.base_seed, cell_index, r))
-            for r in range(replications)
-        )
-    except BiaslabError as err:
-        row.verdict = "error"
-        row.error = "%s: %s" % (type(err).__name__, err)
-        return row
+    reports = []
+    for r in range(replications):
+        seed = derive_seed(config.base_seed, cell_index, r)
+        try:
+            reports.append(run_replication(cell, seed))
+            failure = _non_finite(reports[-1])
+        except BiaslabError as err:
+            failure = "%s: %s" % (type(err).__name__, err)
+        if failure:
+            row.verdict = "error"
+            row.error = "replication %d (seed %d): %s" % (r, seed, failure)
+            return row
     report = aggregate(list(enumerate(reports)))
     row.b_pop, row.b_g0, row.b_g1, row.tau = (
         report.b_pop, report.b_group0, report.b_group1, report.tau
@@ -290,7 +300,7 @@ def run_cell(
         row.analytic_tau = analytic.tau
         row.verdict = "consistent" if comparison.consistent else "inconsistent"
     if keep_reports:
-        row.reports = reports
+        row.reports = tuple(reports)
     return row
 
 

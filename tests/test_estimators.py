@@ -8,6 +8,7 @@ import pytest
 from biaslab.dgp import DgpSpec, generate
 from biaslab.estimators import (
     ForestParams,
+    _grow_tree,
     _LogitLink,
     _ProbitLink,
     fit_forest,
@@ -173,7 +174,10 @@ def test_analytic_gradient_matches_finite_differences(link):
 def test_log_likelihood_increases_monotonically(family, fit):
     for seed in range(10):
         ds = dataset(family, (-1.0, 0.7, 0.4), n=2_000, seed=200 + seed)
-        trace = np.asarray(fit(ds, "both").diagnostics.log_likelihood)
+        diagnostics = fit(ds, "both").diagnostics
+        assert len(diagnostics.log_likelihood) == diagnostics.iterations + 1
+        assert diagnostics.grad_max <= 1e-6
+        trace = np.asarray(diagnostics.log_likelihood)
         # Monotone up to the rounding floor of an n-term sum, which is the
         # optimizer's own step-acceptance slack.
         floor = -1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
@@ -260,3 +264,85 @@ def test_forest_without_x2_shows_opposite_group_errors():
     b1 = e[ds.a == 1].mean()
     assert b0 * b1 < 0.0
     assert abs(b1 - b0) > 0.5
+
+
+def reference_tree(xmat, y, params):
+    """Per-feature CART grower (Breiman et al., 1984), one Python loop per feature.
+
+    Splits minimise the children's summed squared deviations; ties go to the
+    first feature, then the smallest left child. The threshold is the
+    midpoint of the neighbouring values, or the lower one where the midpoint
+    rounds up, and the rows are partitioned by comparing with it.
+    """
+    nodes = [[-1, 0.0, -1, -1, 0.0]]
+    stack = [(0, np.arange(y.shape[0]), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        yr = y[rows]
+        m = rows.shape[0]
+        nodes[node][4] = float(yr.mean())
+        if depth >= params.max_depth or m < 2 * params.min_leaf or yr.min() == yr.max():
+            continue
+        best = None
+        for f in range(xmat.shape[1]):
+            xf = xmat[rows, f]
+            order = np.argsort(xf, kind="stable")
+            xs, ys = xf[order], yr[order]
+            csum, csum2 = np.cumsum(ys), np.cumsum(ys * ys)
+            sizes = np.arange(params.min_leaf, m - params.min_leaf + 1)
+            sizes = sizes[xs[sizes - 1] < xs[sizes]]
+            if sizes.shape[0] == 0:
+                continue
+            ls, ls2 = csum[sizes - 1], csum2[sizes - 1]
+            rs, rs2 = csum[-1] - ls, csum2[-1] - ls2
+            cost = (ls2 - ls * ls / sizes) + (rs2 - rs * rs / (m - sizes))
+            pick = int(np.argmin(cost))
+            if best is None or cost[pick] < best[0]:
+                i = int(sizes[pick])
+                thr = 0.5 * (xs[i - 1] + xs[i])
+                if not thr < xs[i]:
+                    thr = xs[i - 1]
+                best = (cost[pick], f, float(thr), rows[order])
+        if best is None:
+            continue
+        _, f, thr, sorted_rows = best
+        go_left = xmat[sorted_rows, f] <= thr
+        nodes[node][:4] = f, thr, len(nodes), len(nodes) + 1
+        stack.append((len(nodes), sorted_rows[go_left], depth + 1))
+        stack.append((len(nodes) + 1, sorted_rows[~go_left], depth + 1))
+        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+    return [np.array(column) for column in zip(*nodes)]
+
+
+@pytest.mark.parametrize("seed,x_kind", enumerate(["continuous", "integer", "rounded"]))
+def test_grower_matches_the_per_feature_reference(seed, x_kind):
+    rng = np.random.default_rng(seed)
+    for case in range(20):
+        n = int(rng.integers(10, 120))
+        xmat = rng.standard_normal((n, 1 + case % 2)) * 2.0
+        if x_kind == "integer":
+            xmat = np.round(xmat)
+        elif x_kind == "rounded":
+            xmat = np.round(xmat, 1)
+        y = xmat.sum(axis=1) + rng.standard_normal(n)
+        if case % 4 >= 2:
+            y = np.round(y)
+        params = ForestParams(min_leaf=int(rng.integers(1, 8)), max_depth=int(rng.integers(1, 9)))
+        tree = _grow_tree(xmat, y, params)
+        want = reference_tree(xmat, y, params)
+        for name, expected in zip(("feature", "threshold", "left", "right", "value"), want):
+            assert np.array_equal(getattr(tree, name), expected), (case, name)
+
+
+def test_split_applies_the_scored_partition_between_adjacent_floats():
+    # The midpoint of a and b rounds to b; a threshold of b would send the
+    # five b rows left as well and leave a left child of mean 5.
+    a, b = 1.0 + 2.0**-52, 1.0 + 2.0**-51
+    assert 0.5 * (a + b) == b
+    xmat = np.array([a] * 5 + [b] * 5 + [2.0] * 5)[:, None]
+    y = np.array([0.0] * 5 + [10.0] * 10)
+    tree = _grow_tree(xmat, y, ForestParams(max_depth=1, min_leaf=5))
+    assert tree.feature[0] == 0
+    assert a <= tree.threshold[0] < b
+    assert tree.value[tree.left[0]] == 0.0
+    assert tree.value[tree.right[0]] == 10.0

@@ -12,7 +12,7 @@ import biaslab
 from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
 from biaslab.audit import ErrorReport
 from biaslab.cli import main
-from biaslab.dgp import DgpSpec
+from biaslab.dgp import DgpSpec, derive_seed
 from biaslab.exceptions import ConfigError
 from biaslab.experiment import (
     CSV_HEADER,
@@ -153,11 +153,31 @@ def test_failed_cells_become_error_rows():
     )
     cell = ExperimentCell(dgp=spec, model="probit", features="both")
     good = small_cell(n=200)
-    rows = run(small_config([cell, good], replications=2))
+    config = small_config([cell, good], replications=2)
+    rows = run(config)
     assert rows[0].verdict == "error"
-    assert "SeparationError" in rows[0].error
+    seed = derive_seed(config.base_seed, 0, 0)
+    assert rows[0].error.startswith("replication 0 (seed %d): SeparationError: " % seed)
     assert math.isnan(rows[0].b_pop)
     assert rows[1].verdict == "consistent"
+
+
+def test_non_finite_statistics_make_an_error_row(tmp_path, capsys):
+    # beta0 = 1e308 overflows the least-squares fit, so every statistic is NaN;
+    # no comparison is made, so the cell reads error and the exit code stays 0.
+    obj = config_json()
+    obj["cells"][0]["dgp"]["beta"] = [1e308, 1.0, 1.0]
+    config = parse_config(obj)
+    with pytest.warns(RuntimeWarning):
+        row = run(config)[0]
+        code = main(["run", "--config", write_config(tmp_path, obj)])
+    assert row.verdict == "error"
+    seed = derive_seed(config.base_seed, 0, 0)
+    assert row.error.startswith("replication 0 (seed %d): non-finite statistics: b_pop" % seed)
+    assert all(math.isnan(getattr(row, name)) for name in ("b_pop", "b_g0", "b_g1", "tau"))
+    assert row.analytic_tau is None
+    assert code == 0
+    assert ",error\n" in capsys.readouterr().out
 
 
 def test_unequal_group_weights_match_the_closed_form():
