@@ -53,14 +53,27 @@ class Comparison:
 
 
 def mean_se(values) -> tuple[float, float]:
-    """Exactly rounded mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1."""
+    """Exactly rounded mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1.
+
+    A statistic whose sum or squares leave the float range (or add inf to
+    -inf) is nan instead of an exception, so huge errors read as
+    non-finite statistics.
+    """
     values = np.asarray(values, dtype=float).tolist()
     n = len(values)
-    mean = math.fsum(values) / n
+    mean = _fsum(values) / n
     if n < 2:
         return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
+    var = _fsum((v - mean) ** 2 for v in values) / (n - 1)
     return mean, math.sqrt(var / n)
+
+
+def _fsum(terms) -> float:
+    """math.fsum, or nan where a term or the sum overflows or inf meets -inf."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def error_report(predictions, truths, groups) -> ErrorReport:

@@ -2,14 +2,19 @@
 
 The maximum-likelihood fits use damped Newton with analytic gradients and
 Hessians (start at zero, step-halving line search, hard iteration cap); the
-forest is bagged CART with a variance-reduction split criterion. scipy
-supplies only scalar numerics primitives (normal CDF, log CDF, logistic),
-never the fitting itself.
+forest is bagged CART with a variance-reduction split criterion, its trees
+grown and scored on a forked process pool. scipy supplies only scalar
+numerics primitives (normal CDF, log CDF, logistic), never the fitting
+itself.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +67,17 @@ class ForestParams:
     max_depth: int = 8
     min_leaf: int = 5
     bootstrap_ratio: float = 1.0
+
+    def __post_init__(self):
+        for name, minimum in (("n_trees", 1), ("max_depth", 0), ("min_leaf", 1)):
+            value = getattr(self, name)
+            exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            if not exact or value < minimum:
+                raise ValueError("%s must be an integer >= %d, got %r" % (name, minimum, value))
+        ratio = self.bootstrap_ratio
+        real = isinstance(ratio, (int, float)) and not isinstance(ratio, bool)
+        if not real or not 0 < ratio < math.inf:
+            raise ValueError("bootstrap_ratio must be a finite positive number, got %r" % (ratio,))
 
 
 @dataclass(frozen=True)
@@ -291,6 +307,42 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, params: ForestParams) -> Tree:
     )
 
 
+_worker_inputs = None  # set once in each pool worker, never in the calling process
+
+
+def _set_worker_inputs(inputs) -> None:
+    global _worker_inputs
+    _worker_inputs = inputs
+
+
+def _apply(task, item):
+    return task(item, _worker_inputs)
+
+
+def _pool_map(task, items, inputs):
+    """Yield task(item, inputs) for each item, in item order.
+
+    The items run on a pool of forked workers, one per core this process
+    may use (at most one per item). Each worker inherits ``inputs`` through
+    the fork, so only the items and the results are pickled.
+    """
+    workers = min(len(os.sched_getaffinity(0)), len(items))
+    with ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_inputs,
+        initargs=(inputs,),
+    ) as pool:
+        yield from pool.map(functools.partial(_apply, task), items)
+
+
+def _fit_tree(t: int, inputs) -> Tree:
+    x, y, params, seed, n_boot = inputs
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
+    boot = rng.integers(0, y.shape[0], size=n_boot)
+    return _grow_tree(x[boot], y[boot], params)
+
+
 def fit_forest(
     data: Dataset,
     features: str,
@@ -301,7 +353,7 @@ def fit_forest(
 
     Each tree trains on a bootstrap resample drawn from its own
     counter-derived substream, so the ensemble is identical regardless of
-    the order trees are built in.
+    the order trees are built in or the number of workers building them.
     """
     params = params or ForestParams()
     x = _design(data.x1, data.x2, features)[:, 1:]  # trees do not use an intercept
@@ -310,12 +362,9 @@ def fit_forest(
     if n < 2 * params.min_leaf:
         raise ValueError("need at least 2*min_leaf rows, got %d" % n)
     n_boot = max(1, int(round(params.bootstrap_ratio * n)))
-    trees = []
-    for t in range(params.n_trees):
-        rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
-        boot = rng.integers(0, n, size=n_boot)
-        trees.append(_grow_tree(x[boot], y[boot], params))
-    return FittedModel(family="forest", features=features, forest=tuple(trees))
+    inputs = (x, y, params, seed, n_boot)
+    trees = tuple(_pool_map(_fit_tree, range(params.n_trees), inputs))
+    return FittedModel(family="forest", features=features, forest=trees)
 
 
 def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:
@@ -335,7 +384,10 @@ def tree_predictions(model: FittedModel, x1, x2=None) -> np.ndarray:
     if model.forest is None:
         raise ValueError("model has no trees")
     xmat = _design(x1, x2, model.features)[:, 1:]
-    return np.vstack([_tree_predict(tree, xmat) for tree in model.forest])
+    out = np.empty((len(model.forest), xmat.shape[0]))
+    for t, row in enumerate(_pool_map(_tree_predict, model.forest, xmat)):
+        out[t] = row
+    return out
 
 
 def predict(model: FittedModel, x1, x2=None) -> np.ndarray:

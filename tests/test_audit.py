@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biaslab.analytic_linear import GroupErrorPrediction
-from biaslab.audit import compare, error_report
+from biaslab.audit import compare, error_report, mean_se
 from biaslab.exceptions import EmptyGroupError
 
 ZERO = GroupErrorPrediction(0.0, 0.0, 0.0, 0.0)
@@ -73,6 +73,15 @@ def test_single_row_group_has_zero_se():
     report = error_report([1.0, 2.0, 3.0], [0.0, 0.0, 0.0], [0, 0, 1])
     assert report.se_group1 == 0.0
     assert report.se_tau == report.se_group0
+
+
+@pytest.mark.parametrize(
+    "values,mean",
+    [([1e200, -1e200], 0.0), ([1e308, 1e308], math.nan), ([math.inf, -math.inf], math.nan)],
+)
+def test_mean_se_reads_out_of_range_sums_as_nan(values, mean):
+    got_mean, got_se = mean_se(values)
+    assert np.array_equal([got_mean, got_se], [mean, math.nan], equal_nan=True)
 
 
 def test_empty_group_rejected():

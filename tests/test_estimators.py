@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from biaslab.dgp import DgpSpec, generate
+from biaslab import estimators
+from biaslab.dgp import DgpSpec, derive_seed, generate
 from biaslab.estimators import (
     ForestParams,
     _grow_tree,
     _LogitLink,
     _ProbitLink,
+    _tree_predict,
     fit_forest,
     fit_logit,
     fit_ols,
@@ -264,6 +266,75 @@ def test_forest_without_x2_shows_opposite_group_errors():
     b1 = e[ds.a == 1].mean()
     assert b0 * b1 < 0.0
     assert abs(b1 - b0) > 0.5
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("n_trees", 0),
+        ("n_trees", 2.0),
+        ("n_trees", True),
+        ("max_depth", -1),
+        ("max_depth", "8"),
+        ("min_leaf", 0),
+        ("min_leaf", 2.5),
+        ("min_leaf", False),
+        ("bootstrap_ratio", 0.0),
+        ("bootstrap_ratio", -0.5),
+        ("bootstrap_ratio", math.inf),
+        ("bootstrap_ratio", math.nan),
+        ("bootstrap_ratio", True),
+        ("bootstrap_ratio", "1"),
+    ],
+)
+def test_forest_params_refuse_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        ForestParams(**{field: value})
+
+
+@pytest.mark.parametrize("features", ["both", "x1_only"])
+def test_pooled_forest_equals_trees_grown_one_by_one(features):
+    ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=22)
+    params = ForestParams(n_trees=6, max_depth=5, bootstrap_ratio=0.8)
+    model = fit_forest(ds, features, params, seed=9)
+    x = np.column_stack([ds.x1, ds.x2] if features == "both" else [ds.x1])
+    n_boot = round(0.8 * ds.n)
+    assert len(model.forest) == params.n_trees
+    for t, tree in enumerate(model.forest):
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(9, "tree", t)))
+        boot = rng.integers(0, ds.n, size=n_boot)
+        want = _grow_tree(x[boot], ds.y[boot], params)
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
+
+
+def test_tree_predictions_stack_each_trees_prediction():
+    ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=23)
+    model = fit_forest(ds, "both", ForestParams(n_trees=5), seed=10)
+    xmat = np.column_stack([ds.x1, ds.x2])
+    want = np.vstack([_tree_predict(tree, xmat) for tree in model.forest])
+    assert tree_predictions(model, ds.x1, ds.x2).tobytes() == want.tobytes()
+
+
+def test_forest_is_the_same_for_any_worker_count(monkeypatch):
+    ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=24)
+    params = ForestParams(n_trees=7, max_depth=5)
+    pools = []
+
+    class RecordingPool(estimators.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+    runs = []
+    for cores in (1, 3):
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid, k=cores: set(range(k)))
+        model = fit_forest(ds, "both", params, seed=11)
+        trees = [tuple(a.tobytes() for a in vars(tree).values()) for tree in model.forest]
+        runs.append((trees, predict(model, ds.x1, ds.x2).tobytes()))
+    assert pools == [1, 1, 3, 3]
+    assert runs[0] == runs[1]
 
 
 def reference_tree(xmat, y, params):

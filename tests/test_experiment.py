@@ -180,6 +180,21 @@ def test_non_finite_statistics_make_an_error_row(tmp_path, capsys):
     assert ",error\n" in capsys.readouterr().out
 
 
+def test_overflowing_squared_errors_make_an_error_row(tmp_path, capsys):
+    # beta0 = 1e200 leaves finite errors whose squares overflow a float; the
+    # standard errors read nan and the cell is an error row, not a traceback.
+    obj = config_json()
+    obj["cells"][0]["dgp"]["beta"] = [1e200, 1.0, 1.0]
+    config = parse_config(obj)
+    row = run(config)[0]
+    assert row.verdict == "error"
+    seed = derive_seed(config.base_seed, 0, 0)
+    assert row.error.startswith("replication 0 (seed %d): non-finite statistics: " % seed)
+    assert "se_pop" in row.error
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 0
+    assert ",error\n" in capsys.readouterr().out
+
+
 def test_unequal_group_weights_match_the_closed_form():
     # 900 rows of group 0 and 100 of group 1 per replication, as the weight says.
     mixture = make_mixture((0.0, 1.0), (0.5, 3.0), weight=0.1)
