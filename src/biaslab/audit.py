@@ -4,9 +4,11 @@ The audited quantity is always e = prediction - truth, where truth is the
 regression outcome or, for classification, the true risk probability
 (never the Bernoulli draw: scoring against the draw would mix irreducible
 label noise into the model's error). Means and standard deviations are
-computed with exactly rounded summation (math.fsum), so a report is
-bit-identical under any permutation of its input rows and the weighted
-group means recombine to the population mean at machine precision.
+computed with exactly rounded summation (math.fsum) of the errors and of
+their squared deviations, each square a correctly rounded numpy product,
+so a report is bit-identical under any permutation of its input rows and
+the weighted group means recombine to the population mean at machine
+precision.
 """
 
 from __future__ import annotations
@@ -55,17 +57,22 @@ class Comparison:
 def mean_se(values) -> tuple[float, float]:
     """Exactly rounded mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1.
 
-    A statistic whose sum or squares leave the float range (or add inf to
-    -inf) is nan instead of an exception, so huge errors read as
-    non-finite statistics.
+    The squared deviations are correctly rounded numpy products, summed by
+    math.fsum like the values. A statistic whose sum or squares leave the
+    float range (or add inf to -inf) is nan instead of an exception, so
+    huge errors read as non-finite statistics.
     """
-    values = np.asarray(values, dtype=float).tolist()
-    n = len(values)
-    mean = _fsum(values) / n
+    values = np.asarray(values, dtype=float)
+    n = values.shape[0]
+    mean = _fsum(values.tolist()) / n
     if n < 2:
         return mean, 0.0
-    var = _fsum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, math.sqrt(var / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dev = values - mean
+        squares = dev * dev
+    var = _fsum(squares.tolist()) / (n - 1)
+    # A square that overflowed is inf here, and its sum is out of range.
+    return mean, math.sqrt(var / n) if math.isfinite(var) else math.nan
 
 
 def _fsum(terms) -> float:
@@ -79,15 +86,19 @@ def _fsum(terms) -> float:
 def error_report(predictions, truths, groups) -> ErrorReport:
     """Audit predictions against truths, split by the 0/1 group labels.
 
-    Raises EmptyGroupError if either group has no rows.
+    Raises ValueError if a label is not 0 or 1, and EmptyGroupError if
+    either group has no rows.
     """
     predictions = np.asarray(predictions, dtype=float)
     truths = np.asarray(truths, dtype=float)
     groups = np.asarray(groups)
     if not predictions.shape == truths.shape == groups.shape:
         raise ValueError("predictions, truths and groups must have equal length")
-    e = predictions - truths
     in1 = groups == 1
+    stray = ~(in1 | (groups == 0))
+    if stray.any():
+        raise ValueError("group labels must be 0 or 1, got %r" % (groups[stray][0],))
+    e = predictions - truths
     e0, e1 = e[~in1], e[in1]
     if e0.shape[0] == 0 or e1.shape[0] == 0:
         raise EmptyGroupError(

@@ -138,19 +138,21 @@ def _mills(t: np.ndarray) -> np.ndarray:
 
 
 class _ProbitLink:
-    """Bernoulli log-likelihood pieces for risk = Phi(index)."""
+    """Bernoulli log-likelihood pieces for risk = Phi(index).
+
+    Each row's terms are evaluated once, at the signed index s = (2z - 1) * eta.
+    """
 
     @staticmethod
     def loglik(eta: np.ndarray, z: np.ndarray) -> float:
-        return float(np.sum(np.where(z == 1, log_ndtr(eta), log_ndtr(-eta))))
+        return float(np.sum(log_ndtr(np.where(z == 1, eta, -eta))))
 
     @staticmethod
     def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lam_pos = _mills(eta)
-        lam_neg = _mills(-eta)
-        u = np.where(z == 1, lam_pos, -lam_neg)
-        w = np.where(z == 1, lam_pos * (lam_pos + eta), lam_neg * (lam_neg - eta))
-        return u, w
+        pos = z == 1
+        s = np.where(pos, eta, -eta)
+        lam = _mills(s)
+        return np.where(pos, lam, -lam), lam * (lam + s)
 
 
 class _LogitLink:
@@ -158,7 +160,7 @@ class _LogitLink:
 
     @staticmethod
     def loglik(eta: np.ndarray, z: np.ndarray) -> float:
-        return float(-np.sum(np.where(z == 1, np.logaddexp(0.0, -eta), np.logaddexp(0.0, eta))))
+        return float(-np.sum(np.logaddexp(0.0, np.where(z == 1, -eta, eta))))
 
     @staticmethod
     def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +204,9 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("singular information matrix: %s" % err) from err
 
-        if float(np.max(np.abs(x @ (coef + step)))) > _SEPARATION_INDEX:
+        trial = coef + step
+        eta_trial = x @ trial
+        if float(np.max(np.abs(eta_trial))) > _SEPARATION_INDEX:
             raise SeparationError(
                 "index magnitudes exceed %g at iteration %d; data appear separable"
                 % (_SEPARATION_INDEX, iteration + 1)
@@ -211,12 +215,12 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
         slack = 1e-12 * max(1.0, abs(ll))
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            trial = coef + scale * step
-            eta_trial = x @ trial
             ll_trial = link.loglik(eta_trial, z)
             if ll_trial >= ll - slack:
                 break
             scale *= 0.5
+            trial = coef + scale * step
+            eta_trial = x @ trial
         else:
             raise ConvergenceError(
                 "line search failed after %d halvings at iteration %d"

@@ -1,9 +1,12 @@
 """Group error reports and analytic-vs-empirical comparisons."""
 
 import math
+from fractions import Fraction
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from biaslab.analytic_linear import GroupErrorPrediction
 from biaslab.audit import compare, error_report, mean_se
@@ -84,6 +87,25 @@ def test_mean_se_reads_out_of_range_sums_as_nan(values, mean):
     assert np.array_equal([got_mean, got_se], [mean, math.nan], equal_nan=True)
 
 
+def exact_mean_se(values):
+    """mean_se from exact rational sums: each square is d * d correctly rounded."""
+    n = len(values)
+    mean = float(sum(map(Fraction, values))) / n
+    if n < 2:
+        return mean, 0.0
+    squares = [float(Fraction(v - mean) ** 2) for v in values]
+    var = float(sum(map(Fraction, squares))) / (n - 1)
+    return mean, math.sqrt(var / n)
+
+
+@given(st.lists(st.floats(-1e100, 1e100), min_size=1, max_size=40), st.data())
+@settings(max_examples=300)
+def test_mean_se_matches_exact_rational_sums(values, data):
+    got = mean_se(values)
+    assert got == exact_mean_se(values)
+    assert mean_se(data.draw(st.permutations(values))) == got
+
+
 def test_empty_group_rejected():
     with pytest.raises(EmptyGroupError):
         error_report([1.0, 2.0], [0.0, 0.0], [0, 0])
@@ -92,6 +114,12 @@ def test_empty_group_rejected():
 def test_shape_mismatch_rejected():
     with pytest.raises(ValueError):
         error_report([1.0, 2.0], [0.0], [0, 1])
+
+
+@pytest.mark.parametrize("label", [2, -1, 0.5, math.nan])
+def test_stray_group_labels_rejected(label):
+    with pytest.raises(ValueError, match="0 or 1"):
+        error_report([1.0, 2.0, 3.0, 4.0], [0.0] * 4, [0, 1, label, 1])
 
 
 def make_report(b_pop, b0, b1, se_pop, se0, se1):

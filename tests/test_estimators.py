@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import log_ndtr
 
 from biaslab import estimators
 from biaslab.dgp import DgpSpec, derive_seed, generate
@@ -184,6 +185,89 @@ def test_log_likelihood_increases_monotonically(family, fit):
         # optimizer's own step-acceptance slack.
         floor = -1e-12 * np.maximum(1.0, np.abs(trace[:-1]))
         assert np.all(np.diff(trace) >= floor)
+
+
+class TwoSidedProbit:
+    """Probit terms evaluated for both labels on every row, then selected."""
+
+    @staticmethod
+    def loglik(eta, z):
+        return float(np.sum(np.where(z == 1, log_ndtr(eta), log_ndtr(-eta))))
+
+    @staticmethod
+    def grad_weights(eta, z):
+        lam_pos = estimators._mills(eta)
+        lam_neg = estimators._mills(-eta)
+        u = np.where(z == 1, lam_pos, -lam_neg)
+        w = np.where(z == 1, lam_pos * (lam_pos + eta), lam_neg * (lam_neg - eta))
+        return u, w
+
+
+class TwoSidedLogit:
+    """Logit log-likelihood evaluated for both labels on every row, then selected."""
+
+    @staticmethod
+    def loglik(eta, z):
+        return float(-np.sum(np.where(z == 1, np.logaddexp(0.0, -eta), np.logaddexp(0.0, eta))))
+
+    grad_weights = staticmethod(_LogitLink.grad_weights)
+
+
+@pytest.mark.parametrize(
+    "link,reference", [(_ProbitLink, TwoSidedProbit), (_LogitLink, TwoSidedLogit)]
+)
+def test_one_sided_links_equal_the_two_sided_formulas(link, reference):
+    rng = np.random.default_rng(17)
+    # Both labels at every index, |eta| on both sides of the Mills-ratio cutoff at 8.
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 161), 3.0 * rng.standard_normal(400)])
+    eta = np.concatenate([grid, grid])
+    z = np.concatenate([np.zeros_like(grid), np.ones_like(grid)])
+    assert link.loglik(eta, z) == reference.loglik(eta, z)
+    for got, want in zip(link.grad_weights(eta, z), reference.grad_weights(eta, z)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "family,fit,reference",
+    [("probit", fit_probit, TwoSidedProbit), ("logit", fit_logit, TwoSidedLogit)],
+)
+def test_newton_with_two_sided_links_gives_the_same_fits(family, fit, reference):
+    for seed in range(4):
+        ds = dataset(family, (-1.0, 0.7, 0.4), n=2_000, seed=300 + seed)
+        for features in estimators.FEATURE_SETS:
+            model = fit(ds, features)
+            x = estimators._design(ds.x1, ds.x2, features)
+            coef, diagnostics = estimators._newton_mle(x, ds.z.astype(float), reference)
+            assert model.coefficients == tuple(coef)
+            assert model.diagnostics == diagnostics
+    ds = toy([-5.0, -0.05, 0.05, 5.0], [0, 0, 1, 1])
+    x = estimators._design(ds.x1, None, "x1_only")
+    with pytest.raises(SeparationError) as want:
+        estimators._newton_mle(x, ds.z.astype(float), reference)
+    with pytest.raises(SeparationError) as got:
+        fit(ds, "x1_only")
+    assert str(got.value) == str(want.value)
+
+
+def test_a_refused_full_step_is_halved():
+    ds = dataset("logit", (-1.0, 0.7, 0.4), n=2_000, seed=300)
+    x = estimators._design(ds.x1, ds.x2, "both")
+    z = ds.z.astype(float)
+    calls = []
+
+    class RefuseFirstStep:
+        grad_weights = staticmethod(_LogitLink.grad_weights)
+
+        @staticmethod
+        def loglik(eta, z):
+            calls.append(None)
+            return -math.inf if len(calls) == 2 else _LogitLink.loglik(eta, z)
+
+    coef, diagnostics = estimators._newton_mle(x, z, RefuseFirstStep)
+    u, w = _LogitLink.grad_weights(np.zeros(z.shape[0]), z)
+    step = np.linalg.solve(x.T @ (x * w[:, None]), x.T @ u)
+    assert diagnostics.log_likelihood[1] == _LogitLink.loglik(x @ (0.5 * step), z)
+    assert coef == pytest.approx(fit_logit(ds, "both").coefficients, abs=1e-6)
 
 
 def test_probit_probabilities_are_probabilities():

@@ -4,13 +4,15 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import biaslab
+from biaslab import experiment
 from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
-from biaslab.audit import ErrorReport
+from biaslab.audit import ErrorReport, compare
 from biaslab.cli import main
 from biaslab.dgp import DgpSpec, derive_seed
 from biaslab.exceptions import ConfigError
@@ -24,10 +26,12 @@ from biaslab.experiment import (
     TABLE_MIXTURE,
     aggregate,
     analytic_for_cell,
+    load_config,
     parse_config,
     parse_mixture,
     render,
     run,
+    run_cell,
     table1_config,
 )
 
@@ -251,6 +255,47 @@ def test_aggregate_single_replication_passes_through():
     assert report.b_group0 == only.b_group0
     assert report.se_group0 == only.se_group0
     assert report.se_tau == only.se_tau
+
+
+SWEEP_CONFIG = Path(__file__).resolve().parent.parent / "benchmarks" / "configs" / "sweep.json"
+
+
+def test_ols_rounding_in_b_pop_sets_no_verdict():
+    # Sweep cell 4, linear/ols on X1 only: b_pop 4.38e-16 over an SE of
+    # 1.09e-16 is |z| 4.04, while the group errors and tau sit within 1.6.
+    config = load_config(SWEEP_CONFIG)
+    cell = config.cells[4]
+    row = run_cell(cell, 4, config, keep_reports=True)
+    analytic, extra_tol = analytic_for_cell(cell)
+    report = aggregate(list(enumerate(row.reports)))
+    comparison = compare(analytic, report, config.z_threshold, extra_tol)
+    assert comparison.verdicts["b_pop"] == "inconsistent"
+    assert row.verdict == "consistent"
+
+
+def off_b_pop_report(cell, seed):
+    return ErrorReport(
+        b_pop=1.0,
+        b_group0=0.0,
+        b_group1=0.0,
+        tau=0.0,
+        se_pop=0.01,
+        se_group0=0.01,
+        se_group1=0.01,
+        se_tau=0.01,
+        n_pop=100,
+        n_group0=50,
+        n_group1=50,
+    )
+
+
+@pytest.mark.parametrize(
+    "family,model,verdict", [("linear", "ols", "consistent"), ("probit", "probit", "inconsistent")]
+)
+def test_only_ols_cells_leave_b_pop_unscored(monkeypatch, family, model, verdict):
+    monkeypatch.setattr(experiment, "run_replication", off_b_pop_report)
+    rows = run(small_config([small_cell(family, model, "both")], replications=1))
+    assert rows[0].verdict == verdict
 
 
 def test_runs_are_deterministic():
