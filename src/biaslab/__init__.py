@@ -24,7 +24,7 @@ from .analytic_probit import (
     omitted_group_errors_probit,
     std_normal_cdf,
 )
-from .audit import Comparison, ErrorReport, compare, error_report
+from .audit import ErrorReport, compare, error_report
 from .dgp import Dataset, DgpSpec, derive_seed, generate
 from .estimators import (
     FittedModel,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AssumptionViolationError",
     "BiaslabError",
-    "Comparison",
     "ConfigError",
     "ConvergenceError",
     "Dataset",

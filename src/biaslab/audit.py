@@ -1,4 +1,4 @@
-"""Group-level error statistics and analytic-vs-empirical comparison.
+"""Group-level error statistics and their z-scores against an analytic prediction.
 
 The audited quantity is always e = prediction - truth, where truth is the
 regression outcome or, for classification, the true risk probability
@@ -8,7 +8,8 @@ computed with exactly rounded summation (math.fsum) of the errors and of
 their squared deviations, each square a correctly rounded numpy product,
 so a report is bit-identical under any permutation of its input rows and
 the weighted group means recombine to the population mean at machine
-precision.
+precision. ``compare`` only scores; the verdict is decided in one place,
+``experiment.run_cell``.
 """
 
 from __future__ import annotations
@@ -37,21 +38,6 @@ class ErrorReport:
     n_pop: int
     n_group0: int
     n_group1: int
-
-
-@dataclass(frozen=True)
-class Comparison:
-    """Z-scores of empirical statistics against an analytic prediction."""
-
-    analytic: GroupErrorPrediction
-    empirical: ErrorReport
-    z_scores: dict[str, float]
-    verdicts: dict[str, str]
-    z_threshold: float
-
-    @property
-    def consistent(self) -> bool:
-        return all(v == "consistent" for v in self.verdicts.values())
 
 
 def mean_se(values) -> tuple[float, float]:
@@ -126,16 +112,14 @@ def error_report(predictions, truths, groups) -> ErrorReport:
 def compare(
     analytic: GroupErrorPrediction,
     empirical: ErrorReport,
-    z_threshold: float = 4.0,
     extra_tolerance: float = 0.0,
-) -> Comparison:
-    """Score each statistic as (empirical - analytic) / denom.
+) -> dict[str, float]:
+    """Z-score of each statistic, (empirical - analytic) / denom, by name.
 
     denom is the statistic's SE with ``extra_tolerance`` added in
     quadrature; the extra term absorbs known approximation error in the
-    analytic value (zero by default). A statistic is consistent iff
-    |z| <= z_threshold, which for an exact-zero analytic value reduces to
-    |empirical| <= z_threshold * denom.
+    analytic value (zero by default). A zero denom gives z = 0 where the
+    two values agree exactly and inf otherwise.
     """
     pairs = {
         "b_pop": (empirical.b_pop, analytic.b_pop, empirical.se_pop),
@@ -143,20 +127,12 @@ def compare(
         "b_group1": (empirical.b_group1, analytic.b_group1, empirical.se_group1),
         "tau": (empirical.tau, analytic.tau, empirical.se_tau),
     }
-    z_scores, verdicts = {}, {}
+    z_scores = {}
     for name, (emp, ana, se) in pairs.items():
         denom = math.hypot(se, extra_tolerance)
         diff = emp - ana
         if denom == 0.0:
-            z = 0.0 if diff == 0.0 else math.inf
+            z_scores[name] = 0.0 if diff == 0.0 else math.inf
         else:
-            z = diff / denom
-        z_scores[name] = z
-        verdicts[name] = "consistent" if abs(z) <= z_threshold else "inconsistent"
-    return Comparison(
-        analytic=analytic,
-        empirical=empirical,
-        z_scores=z_scores,
-        verdicts=verdicts,
-        z_threshold=z_threshold,
-    )
+            z_scores[name] = diff / denom
+    return z_scores

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .exceptions import InvalidCovarianceError
 from .moments import MixtureSpec
 
 FAMILIES = ("linear", "polynomial", "probit", "logit")
@@ -63,7 +62,8 @@ class DgpSpec:
         Group-conditional feature distributions and weights.
     n_per_group : int
         Half the row count: ``2 * n_per_group`` rows are drawn and split
-        between the groups by the mixture's ``weight_protected``.
+        between the groups by the mixture's ``weight_protected``; a split
+        that leaves either group without rows raises ValueError.
     """
 
     family: str
@@ -87,6 +87,15 @@ class DgpSpec:
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValueError("n_per_group must be a positive integer, got %r" % (n,))
         object.__setattr__(self, "n_per_group", int(n))
+        if 0 in self.group_sizes:
+            raise ValueError("a group gets no rows: group sizes %d and %d" % self.group_sizes)
+
+    @property
+    def group_sizes(self) -> tuple[int, int]:
+        """Rows per draw in groups 0 and 1; group 1 gets round(2 * n_per_group * weight)."""
+        n = 2 * self.n_per_group
+        n_protected = round(n * self.mixture.weight_protected)
+        return n - n_protected, n_protected
 
 
 @dataclass
@@ -106,26 +115,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x1.shape[0]
-
-
-def _cholesky_2x2(cov: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a 2x2 PSD matrix, written out explicitly."""
-    s11, s12 = cov[0, 0], cov[0, 1]
-    s22 = cov[1, 1]
-    if s11 < 0:
-        raise InvalidCovarianceError("Var(X1) is negative: %r" % s11)
-    l11 = math.sqrt(max(s11, 0.0))
-    if l11 > 0:
-        l21 = s12 / l11
-    elif abs(s12) <= 1e-12:
-        l21 = 0.0
-    else:
-        raise InvalidCovarianceError("degenerate X1 with nonzero covariance")
-    rest = s22 - l21 * l21
-    if rest < -1e-10:
-        raise InvalidCovarianceError("covariance is not PSD (Schur complement %r)" % rest)
-    l22 = math.sqrt(max(rest, 0.0))
-    return np.array([[l11, 0.0], [l21, l22]])
 
 
 def _index(beta: tuple[float, ...], x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -153,13 +142,11 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
     """
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
     n = 2 * spec.n_per_group
-    n_protected = round(n * spec.mixture.weight_protected)
-    sizes = (n - n_protected, n_protected)
+    sizes = spec.group_sizes
     parts = []
     for g, size in zip(spec.mixture.groups, sizes):
         standard = rng.standard_normal((size, 2))
-        chol = _cholesky_2x2(g.cov_array())
-        parts.append(standard @ chol.T + g.mean_array())
+        parts.append(standard @ g.cholesky().T + g.mean_array())
     features = np.vstack(parts)
     x1 = features[:, 0].copy()
     x2 = features[:, 1].copy()

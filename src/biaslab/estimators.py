@@ -66,7 +66,6 @@ class ForestParams:
     n_trees: int = 100
     max_depth: int = 8
     min_leaf: int = 5
-    bootstrap_ratio: float = 1.0
 
     def __post_init__(self):
         for name, minimum in (("n_trees", 1), ("max_depth", 0), ("min_leaf", 1)):
@@ -74,10 +73,6 @@ class ForestParams:
             exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             if not exact or value < minimum:
                 raise ValueError("%s must be an integer >= %d, got %r" % (name, minimum, value))
-        ratio = self.bootstrap_ratio
-        real = isinstance(ratio, (int, float)) and not isinstance(ratio, bool)
-        if not real or not 0 < ratio < math.inf:
-            raise ValueError("bootstrap_ratio must be a finite positive number, got %r" % (ratio,))
 
 
 @dataclass(frozen=True)
@@ -341,9 +336,9 @@ def _pool_map(task, items, inputs):
 
 
 def _fit_tree(t: int, inputs) -> Tree:
-    x, y, params, seed, n_boot = inputs
+    x, y, params, seed = inputs
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
-    boot = rng.integers(0, y.shape[0], size=n_boot)
+    boot = rng.integers(0, y.shape[0], size=y.shape[0])
     return _grow_tree(x[boot], y[boot], params)
 
 
@@ -355,7 +350,7 @@ def fit_forest(
 ) -> FittedModel:
     """Bagged CART regression forest for y, deterministic given the seed.
 
-    Each tree trains on a bootstrap resample drawn from its own
+    Each tree trains on a full-size bootstrap resample drawn from its own
     counter-derived substream, so the ensemble is identical regardless of
     the order trees are built in or the number of workers building them.
     """
@@ -365,9 +360,7 @@ def fit_forest(
     n = y.shape[0]
     if n < 2 * params.min_leaf:
         raise ValueError("need at least 2*min_leaf rows, got %d" % n)
-    n_boot = max(1, int(round(params.bootstrap_ratio * n)))
-    inputs = (x, y, params, seed, n_boot)
-    trees = tuple(_pool_map(_fit_tree, range(params.n_trees), inputs))
+    trees = tuple(_pool_map(_fit_tree, range(params.n_trees), (x, y, params, seed)))
     return FittedModel(family="forest", features=features, forest=trees)
 
 
@@ -383,26 +376,24 @@ def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:
         idx[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
 
 
-def tree_predictions(model: FittedModel, x1, x2=None) -> np.ndarray:
-    """Per-tree predictions, shape (n_trees, n); the forest score is their mean."""
-    if model.forest is None:
-        raise ValueError("model has no trees")
-    xmat = _design(x1, x2, model.features)[:, 1:]
-    out = np.empty((len(model.forest), xmat.shape[0]))
-    for t, row in enumerate(_pool_map(_tree_predict, model.forest, xmat)):
-        out[t] = row
-    return out
-
-
 def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     """Score rows with a fitted model.
 
     ols and forest return real-valued scores; probit returns Phi(index)
     and logit returns S(index), both in [0, 1]. ``x2`` may be omitted for
     x1_only models.
+
+    A forest's score is its trees' scores, summed in tree order, over the
+    tree count: for two or more rows bit-identical to numpy's axis-0 mean
+    of the stacked scores, which for one row sums pairwise (last bit).
     """
     if model.family == "forest":
-        return tree_predictions(model, x1, x2).mean(axis=0)
+        xmat = _design(x1, x2, model.features)[:, 1:]
+        scores = _pool_map(_tree_predict, model.forest, xmat)
+        total = next(scores).copy()
+        for tree_scores in scores:
+            total += tree_scores
+        return total / len(model.forest)
     x = _design(x1, x2, model.features)
     index = x @ np.asarray(model.coefficients, dtype=float)
     if model.family == "ols":

@@ -19,14 +19,16 @@ Analytic predictions are attached where a closed form exists:
   rather than the Gaussian the derivation assumes. That slack does not
   cover the closed form's level shift (see PROBIT_MIXTURE_TOLERANCE).
 
-An ols cell's verdict leaves b_pop out: the normal equations of a fit with
-an intercept make its in-sample mean error exactly 0, so the emitted b_pop
-and se_pop are rounding and their ratio is no z-score.
+``run_cell`` alone turns audit.compare's z-scores into a verdict, consistent
+iff every scored |z| <= z_threshold. An ols cell's verdict leaves b_pop out:
+the normal equations of a fit with an intercept make its in-sample mean
+error exactly 0, so the emitted b_pop and se_pop are rounding, no z-score.
 
-Cells whose fit raises (separation, rank deficiency, non-convergence) or
-whose audit has a non-finite statistic are recorded as rows with verdict
-"error" and a message naming the replication and its seed; a grid run
-always produces a full report.
+A config with an unknown key, an invalid covariance or a group that gets
+no rows is refused at parse time. Cells whose fit raises (separation, rank
+deficiency, non-convergence) or whose audit has a non-finite statistic are
+recorded as rows with verdict "error" and a message naming the replication
+and its seed; a grid run always produces a full report.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .dgp import (
     generate,
 )
 from .estimators import (
+    FEATURE_SETS,
     ForestParams,
     fit_forest,
     fit_logit,
@@ -108,8 +111,8 @@ class ExperimentCell:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError("unknown model %r, expected one of %r" % (self.model, MODELS))
-        if self.features not in ("both", "x1_only"):
-            raise ConfigError("features must be 'both' or 'x1_only', got %r" % (self.features,))
+        if self.features not in FEATURE_SETS:
+            raise ConfigError("features must be one of %r, got %r" % (FEATURE_SETS, self.features))
         if self.model in ("probit", "logit") and self.dgp.family not in CLASSIFICATION_FAMILIES:
             raise ConfigError(
                 "%s model needs binary outcomes; DGP family %r has none"
@@ -298,14 +301,13 @@ def run_cell(
     )
     analytic, extra_tol = analytic_for_cell(cell)
     if analytic is not None:
-        comparison = compare(analytic, report, config.z_threshold, extra_tol)
+        z_scores = compare(analytic, report, extra_tol)
+        if cell.model == "ols":  # b_pop is rounding, see the module docstring
+            del z_scores["b_pop"]
         row.analytic_b_g0 = analytic.b_group0
         row.analytic_b_g1 = analytic.b_group1
         row.analytic_tau = analytic.tau
-        verdicts = dict(comparison.verdicts)
-        if cell.model == "ols":  # b_pop is rounding, see the module docstring
-            del verdicts["b_pop"]
-        consistent = all(v == "consistent" for v in verdicts.values())
+        consistent = all(abs(z) <= config.z_threshold for z in z_scores.values())
         row.verdict = "consistent" if consistent else "inconsistent"
     if keep_reports:
         row.reports = tuple(reports)
@@ -321,11 +323,9 @@ def run(config: ExperimentConfig, keep_reports: bool = False) -> list[ResultRow]
 
 
 def table1_config(
-    n_per_group: int = 10000,
-    replications: int = DEFAULT_REPLICATIONS,
-    base_seed: int = DEFAULT_SEED,
+    replications: int = DEFAULT_REPLICATIONS, base_seed: int = DEFAULT_SEED
 ) -> ExperimentConfig:
-    """The built-in ten-cell grid at the reference simulation parameters.
+    """The built-in ten-cell grid at the reference 10,000 rows per group.
 
     Row order matches the published layout: linear, logistic, probit,
     forest (both on the linear DGP), then polynomial; each model first
@@ -335,7 +335,7 @@ def table1_config(
     def dgp(family: str) -> DgpSpec:
         beta = TABLE_BETA_POLY if family == "polynomial" else TABLE_BETA
         return DgpSpec(
-            family=family, beta=beta, mixture=TABLE_MIXTURE, n_per_group=n_per_group
+            family=family, beta=beta, mixture=TABLE_MIXTURE, n_per_group=10_000
         )
 
     cells = []
@@ -346,7 +346,7 @@ def table1_config(
         ("linear", "forest"),
         ("polynomial", "ols"),
     ):
-        for features in ("both", "x1_only"):
+        for features in FEATURE_SETS:
             cells.append(ExperimentCell(dgp=dgp(family), model=model, features=features))
     return ExperimentConfig(
         cells=tuple(cells), replications=replications, base_seed=base_seed
@@ -401,32 +401,39 @@ def emit(rows: list[ResultRow], fmt: str, destination=None) -> None:
         raise ConfigError("cannot write %r: %s" % (destination, err)) from err
 
 
+def _check_keys(level: str, allowed: tuple[str, ...], *objs) -> None:
+    """Refuse any key of the JSON objects that the parser would silently ignore."""
+    for obj in objs:
+        if not isinstance(obj, dict):
+            raise ConfigError("%s must be a JSON object, got %r" % (level, obj))
+        unknown = [key for key in obj if key not in allowed]
+        if unknown:
+            raise ConfigError("unknown %s key %r, known: %r" % (level, unknown[0], allowed))
+
+
 def parse_mixture(obj: dict) -> MixtureSpec:
-    """Build a MixtureSpec from its JSON form."""
+    """Build a MixtureSpec from its JSON form; unknown keys are refused."""
+    _check_keys("mixture", ("groups", "weight_protected"), obj)
     try:
-        groups = tuple(
-            GroupGaussianSpec(
-                mean=tuple(g["mean"]),
-                covariance=tuple(tuple(row) for row in g["covariance"]),
-            )
-            for g in obj["groups"]
-        )
-        return MixtureSpec(
-            groups=groups, weight_protected=obj.get("weight_protected", 0.5)
-        )
-    except (KeyError, TypeError, InvalidCovarianceError) as err:
+        _check_keys("group", ("mean", "covariance"), *obj["groups"])
+        groups = [GroupGaussianSpec(g["mean"], g["covariance"]) for g in obj["groups"]]
+        return MixtureSpec(groups, weight_protected=obj.get("weight_protected", 0.5))
+    except (KeyError, TypeError, ValueError, InvalidCovarianceError) as err:
         raise ConfigError("malformed mixture spec: %s" % err) from err
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from its JSON form."""
+    """Build an ExperimentConfig from its JSON form; unknown keys are refused."""
+    _check_keys("top-level", ("cells", "replications", "seed", "z_threshold"), obj)
     try:
         cells = []
         for cell in obj["cells"]:
+            _check_keys("cell", ("dgp", "model", "features", "replications"), cell)
             dgp = cell["dgp"]
+            _check_keys("dgp", ("family", "beta", "mixture", "n_per_group"), dgp)
             spec = DgpSpec(
                 family=dgp["family"],
-                beta=tuple(dgp["beta"]),
+                beta=dgp["beta"],
                 mixture=parse_mixture(dgp["mixture"]),
                 n_per_group=dgp["n_per_group"],
             )

@@ -15,10 +15,6 @@ import numpy as np
 
 from .exceptions import InvalidCovarianceError
 
-# Eigenvalues may dip slightly below zero from rounding; anything worse
-# than this is treated as genuinely non-PSD.
-_PSD_TOL = -1e-10
-
 
 @dataclass(frozen=True)
 class GroupGaussianSpec:
@@ -29,7 +25,8 @@ class GroupGaussianSpec:
     mean : tuple of 2 floats
         (E[X1|A=a], E[X2|A=a]).
     covariance : 2x2 nested tuple of floats
-        Within-group covariance of (X1, X2); symmetric PSD.
+        Within-group covariance of (X1, X2); valid iff symmetric and
+        :meth:`cholesky`, the factor the simulator draws with, exists.
     """
 
     mean: tuple[float, float]
@@ -50,16 +47,31 @@ class GroupGaussianSpec:
                 "covariance must be symmetric, got off-diagonal %r != %r"
                 % (cov[0][1], cov[1][0])
             )
-        if min(np.linalg.eigvalsh(self.cov_array())) < _PSD_TOL:
-            raise InvalidCovarianceError(
-                "covariance is not positive semi-definite: %r" % (cov,)
-            )
+        self.cholesky()
 
     def mean_array(self) -> np.ndarray:
         return np.array(self.mean, dtype=float)
 
-    def cov_array(self) -> np.ndarray:
-        return np.array(self.covariance, dtype=float)
+    def cholesky(self) -> np.ndarray:
+        """Explicit lower Cholesky factor; InvalidCovarianceError where none exists.
+
+        Needs Var(X1) >= 0 (|Cov| <= 1e-12 where it is 0) and a Schur
+        complement Var(X2) - l21^2 >= -1e-10, whose rounding dust is clipped.
+        """
+        (s11, s12), (_, s22) = self.covariance
+        if s11 < 0:
+            raise InvalidCovarianceError("Var(X1) is negative: %r" % s11)
+        l11 = math.sqrt(s11)
+        if l11 > 0:
+            l21 = s12 / l11
+        elif abs(s12) <= 1e-12:
+            l21 = 0.0
+        else:
+            raise InvalidCovarianceError("degenerate X1 with nonzero covariance %r" % s12)
+        rest = s22 - l21 * l21
+        if rest < -1e-10:
+            raise InvalidCovarianceError("covariance is not PSD (Schur complement %r)" % rest)
+        return np.array([[l11, 0.0], [l21, math.sqrt(max(rest, 0.0))]])
 
 
 @dataclass(frozen=True)

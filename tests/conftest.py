@@ -74,7 +74,7 @@ def population_ols_limit(beta, spec, features):
     cols = [0, 1] if features == "x1_only" else [0, 1, 2]
     gram, cross, group_means = 0.0, 0.0, []
     for p, g in zip(spec.weights, spec.groups):
-        x1, x2 = g.mean_array()[:, None] + np.linalg.cholesky(g.cov_array()) @ nodes
+        x1, x2 = g.mean_array()[:, None] + np.linalg.cholesky(np.array(g.covariance)) @ nodes
         ones = np.ones_like(x1)
         y = b @ np.vstack([ones, x1, x2, x1 * x1, x2 * x2, x1 * x2])
         design = np.column_stack([ones, x1, x2])[:, cols]

@@ -170,7 +170,7 @@ def test_closed_form_matches_simulated_least_squares():
         for a in (0, 1):
             rows = protected == a
             g = spec.groups[a]
-            draws[rows] = rng.multivariate_normal(g.mean_array(), g.cov_array(), rows.sum())
+            draws[rows] = rng.multivariate_normal(g.mean_array(), np.array(g.covariance), rows.sum())
         x1, x2 = draws[:, 0], draws[:, 1]
         y = b0 + b1 * x1 + b2 * x2 + rng.standard_normal(n)
         design = np.column_stack([np.ones(n), x1])

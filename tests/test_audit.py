@@ -141,34 +141,33 @@ def make_report(b_pop, b0, b1, se_pop, se0, se1):
 
 
 def test_compare_z_scores_and_verdicts():
+    # compare only scores; run_cell reads each |z| against z_threshold.
     empirical = make_report(0.0, 0.5, 0.0, 0.1, 0.1, 0.1)
-    result = compare(ZERO, empirical, z_threshold=4.0)
-    assert result.z_scores["b_group0"] == pytest.approx(5.0)
-    assert result.verdicts["b_group0"] == "inconsistent"
-    assert result.verdicts["b_group1"] == "consistent"
-    assert not result.consistent
+    z = compare(ZERO, empirical)
+    assert list(z) == ["b_pop", "b_group0", "b_group1", "tau"]
+    assert z["b_group0"] == pytest.approx(5.0)
+    assert z["b_pop"] == z["b_group1"] == 0.0
 
 
 def test_compare_extra_tolerance_adds_in_quadrature():
     empirical = make_report(0.0, 0.5, 0.0, 0.1, 0.1, 0.1)
-    relaxed = compare(ZERO, empirical, z_threshold=4.0, extra_tolerance=0.2)
-    assert relaxed.z_scores["b_group0"] == pytest.approx(0.5 / math.hypot(0.1, 0.2))
-    assert relaxed.consistent
+    relaxed = compare(ZERO, empirical, extra_tolerance=0.2)
+    assert relaxed["b_group0"] == 0.5 / math.hypot(0.1, 0.2)
+    assert relaxed["tau"] == -0.5 / math.hypot(math.hypot(0.1, 0.1), 0.2)
 
 
 def test_compare_handles_zero_denominators():
     exact = make_report(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    result = compare(ZERO, exact)
-    assert result.z_scores["b_pop"] == 0.0
-    assert result.consistent
+    assert compare(ZERO, exact) == {"b_pop": 0.0, "b_group0": 0.0, "b_group1": 0.0, "tau": 0.0}
     off = make_report(0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
-    result = compare(ZERO, off)
-    assert math.isinf(result.z_scores["b_pop"])
-    assert result.verdicts["b_pop"] == "inconsistent"
+    z = compare(ZERO, off)
+    assert z["b_pop"] == math.inf
+    assert z["b_group0"] == 0.0
 
 
 def test_compare_is_signed():
     empirical = make_report(0.0, -0.5, 0.5, 0.1, 0.1, 0.1)
-    result = compare(ZERO, empirical, z_threshold=10.0)
-    assert result.z_scores["b_group0"] < 0 < result.z_scores["b_group1"]
-    assert result.consistent
+    z = compare(ZERO, empirical)
+    assert z["b_group0"] == pytest.approx(-5.0)
+    assert z["b_group1"] == pytest.approx(5.0)
+    assert z["tau"] == pytest.approx(1.0 / math.hypot(0.1, 0.1))

@@ -55,6 +55,17 @@ def test_group_sizes_follow_the_protected_weight():
     assert np.array_equal(ds.a, np.repeat([0, 1], (900, 100)))
 
 
+@pytest.mark.parametrize("weight,n,sizes", [(0.0004, 500, (1000, 0)), (1.0, 5, (0, 10))])
+def test_a_group_without_rows_is_refused(weight, n, sizes):
+    # The same group_sizes that generate draws with decide the refusal.
+    mixture = make_mixture((0.0, 1.0), (0.5, 2.0), weight=weight)
+    with pytest.raises(ValueError, match="group sizes %d and %d" % sizes):
+        spec_for("linear", mixture=mixture, n=n)
+    smallest = spec_for("linear", mixture=make_mixture((0, 1), (0, 1), weight=0.001), n=500)
+    assert smallest.group_sizes == (999, 1)
+    assert np.array_equal(generate(smallest, seed=2).a, np.repeat([0, 1], (999, 1)))
+
+
 def test_feature_moments_match_the_mixture():
     ds = generate(spec_for("linear", n=100_000), seed=5)
     for a in (0, 1):

@@ -19,7 +19,6 @@ from biaslab.estimators import (
     fit_ols,
     fit_probit,
     predict,
-    tree_predictions,
 )
 from biaslab.exceptions import RankDeficiencyError, SeparationError
 
@@ -313,11 +312,14 @@ def test_forest_is_deterministic_in_the_seed():
 
 
 def test_forest_score_is_the_mean_over_trees():
+    # The running sum in tree order equals numpy's axis-0 mean of the
+    # stacked tree scores byte for byte whenever there are two or more rows.
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=200, seed=18)
     model = fit_forest(ds, "both", ForestParams(n_trees=7), seed=2)
-    per_tree = tree_predictions(model, ds.x1, ds.x2)
-    assert per_tree.shape == (7, ds.n)
-    assert np.array_equal(predict(model, ds.x1, ds.x2), per_tree.mean(axis=0))
+    for rows in (2, 3, ds.n):
+        x1, x2 = ds.x1[:rows], ds.x2[:rows]
+        per_tree = np.vstack([_tree_predict(t, np.column_stack([x1, x2])) for t in model.forest])
+        assert predict(model, x1, x2).tobytes() == per_tree.mean(axis=0).tobytes(), rows
 
 
 def test_forest_tree_structure_invariants():
@@ -363,12 +365,6 @@ def test_forest_without_x2_shows_opposite_group_errors():
         ("min_leaf", 0),
         ("min_leaf", 2.5),
         ("min_leaf", False),
-        ("bootstrap_ratio", 0.0),
-        ("bootstrap_ratio", -0.5),
-        ("bootstrap_ratio", math.inf),
-        ("bootstrap_ratio", math.nan),
-        ("bootstrap_ratio", True),
-        ("bootstrap_ratio", "1"),
     ],
 )
 def test_forest_params_refuse_bad_values(field, value):
@@ -379,25 +375,16 @@ def test_forest_params_refuse_bad_values(field, value):
 @pytest.mark.parametrize("features", ["both", "x1_only"])
 def test_pooled_forest_equals_trees_grown_one_by_one(features):
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=22)
-    params = ForestParams(n_trees=6, max_depth=5, bootstrap_ratio=0.8)
+    params = ForestParams(n_trees=6, max_depth=5)
     model = fit_forest(ds, features, params, seed=9)
     x = np.column_stack([ds.x1, ds.x2] if features == "both" else [ds.x1])
-    n_boot = round(0.8 * ds.n)
     assert len(model.forest) == params.n_trees
     for t, tree in enumerate(model.forest):
         rng = np.random.Generator(np.random.Philox(key=derive_seed(9, "tree", t)))
-        boot = rng.integers(0, ds.n, size=n_boot)
+        boot = rng.integers(0, ds.n, size=ds.n)
         want = _grow_tree(x[boot], ds.y[boot], params)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
-
-
-def test_tree_predictions_stack_each_trees_prediction():
-    ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=23)
-    model = fit_forest(ds, "both", ForestParams(n_trees=5), seed=10)
-    xmat = np.column_stack([ds.x1, ds.x2])
-    want = np.vstack([_tree_predict(tree, xmat) for tree in model.forest])
-    assert tree_predictions(model, ds.x1, ds.x2).tobytes() == want.tobytes()
 
 
 def test_forest_is_the_same_for_any_worker_count(monkeypatch):

@@ -267,9 +267,9 @@ def test_ols_rounding_in_b_pop_sets_no_verdict():
     cell = config.cells[4]
     row = run_cell(cell, 4, config, keep_reports=True)
     analytic, extra_tol = analytic_for_cell(cell)
-    report = aggregate(list(enumerate(row.reports)))
-    comparison = compare(analytic, report, config.z_threshold, extra_tol)
-    assert comparison.verdicts["b_pop"] == "inconsistent"
+    z = compare(analytic, aggregate(list(enumerate(row.reports))), extra_tol)
+    assert abs(z.pop("b_pop")) > config.z_threshold
+    assert all(abs(v) <= config.z_threshold for v in z.values())
     assert row.verdict == "consistent"
 
 
@@ -287,6 +287,18 @@ def off_b_pop_report(cell, seed):
         n_group0=50,
         n_group1=50,
     )
+
+
+@pytest.mark.parametrize("se,verdict", [(0.125, "consistent"), (0.1249, "inconsistent")])
+def test_verdict_compares_each_z_score_with_the_threshold(monkeypatch, se, verdict):
+    # b_group0 and tau sit at |z| = 0.5 / se: exactly z_threshold 4 still reads consistent.
+    report = ErrorReport(
+        b_pop=0.0, b_group0=0.5, b_group1=0.0, tau=-0.5, se_pop=0.01, se_group0=se,
+        se_group1=0.01, se_tau=se, n_pop=100, n_group0=50, n_group1=50,
+    )
+    monkeypatch.setattr(experiment, "run_replication", lambda cell, seed: report)
+    rows = run(small_config([small_cell("linear", "ols", "both")], replications=1))
+    assert rows[0].verdict == verdict
 
 
 @pytest.mark.parametrize(
@@ -483,6 +495,86 @@ def test_cli_refuses_malformed_values_at_parse_time(tmp_path, capsys, obj):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+def with_mixture(n_per_group=200, **mixture):
+    obj = with_cell(n_per_group)
+    obj["cells"][0]["dgp"]["mixture"] = {**MIXTURE_JSON, **mixture}
+    return obj
+
+
+def with_covariance(covariance):
+    return with_mixture(groups=[{"mean": [0, 0], "covariance": covariance}] * 2)
+
+
+@pytest.mark.parametrize(
+    "obj,cause",
+    [
+        (with_covariance([[0.0, 1e-6], [1e-6, 1.0]]), "degenerate X1"),
+        (with_covariance([[-5e-11, 0.0], [0.0, 1.0]]), "Var(X1) is negative"),
+        (with_mixture(500, weight_protected=0.0004), "group sizes 1000 and 0"),
+    ],
+    ids=["degenerate-x1", "negative-variance", "empty-group"],
+)
+def test_cli_refuses_configs_whose_replications_all_fail(tmp_path, capsys, obj, cause):
+    # Each would parse and then fail in every replication, so parsing refuses it.
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and cause in captured.err
+    assert captured.out == ""
+
+
+MISSPELT = {
+    "top-level": "z_treshold",
+    "cell": "replicatons",
+    "dgp": "n_per_groups",
+    "mixture": "weight_protect",
+    "group": "covarience",
+}
+
+
+def misspelt(level):
+    obj = json.loads(json.dumps(config_json()))  # a deep copy: MIXTURE_JSON stays as it is
+    target = {
+        "top-level": obj,
+        "cell": obj["cells"][0],
+        "dgp": obj["cells"][0]["dgp"],
+        "mixture": obj["cells"][0]["dgp"]["mixture"],
+        "group": obj["cells"][0]["dgp"]["mixture"]["groups"][1],
+    }[level]
+    target[MISSPELT[level]] = 0.5
+    return obj
+
+
+@pytest.mark.parametrize("level", list(MISSPELT))
+def test_cli_run_refuses_unknown_keys(tmp_path, capsys, level):
+    assert main(["run", "--config", write_config(tmp_path, misspelt(level))]) == 2
+    assert "unknown %s key %r" % (level, MISSPELT[level]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level", ["mixture", "group"])
+def test_cli_analytic_refuses_unknown_keys(tmp_path, capsys, level):
+    mix = tmp_path / "mixture.json"
+    mix.write_text(json.dumps(misspelt(level)["cells"][0]["dgp"]["mixture"]))
+    code = main(["analytic", "--family", "linear", "--beta=-2,1,1", "--mixture", str(mix)])
+    assert code == 2
+    assert "unknown %s key %r" % (level, MISSPELT[level]) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "mixture",
+    [
+        {"groups": [{"mean": ["a", 1.0], "covariance": [[1, 0], [0, 1]]}] * 2},
+        {**MIXTURE_JSON, "weight_protected": "half"},
+    ],
+    ids=["string-mean", "string-weight"],
+)
+def test_cli_analytic_refuses_non_numeric_mixtures(tmp_path, capsys, mixture):
+    mix = tmp_path / "mixture.json"
+    mix.write_text(json.dumps(mixture))
+    code = main(["analytic", "--family", "linear", "--beta=-2,1,1", "--mixture", str(mix)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: malformed mixture spec")
 
 
 def test_cli_analytic_linear(tmp_path, capsys):

@@ -96,11 +96,24 @@ def test_pooled_means_are_weighted_component_means(spec):
         ((1.0, 0.3), (0.4, 1.0)),  # asymmetric
         ((float("nan"), 0.0), (0.0, 1.0)),
         ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)),  # wrong shape
+        # Both passed an eigenvalue test with tolerance -1e-10 and then had
+        # no Cholesky factor to draw features with.
+        ((0.0, 1e-6), (1e-6, 1.0)),  # degenerate X1 with nonzero covariance
+        ((-5e-11, 0.0), (0.0, 1.0)),  # negative Var(X1)
     ],
 )
 def test_invalid_covariances_rejected(covariance):
     with pytest.raises(InvalidCovarianceError):
         GroupGaussianSpec(mean=(0.0, 0.0), covariance=covariance)
+
+
+@given(mixtures())
+@settings(max_examples=100)
+def test_cholesky_factor_reproduces_the_covariance(spec):
+    for g in spec.groups:
+        chol = g.cholesky()
+        assert chol[0, 1] == 0.0
+        assert np.allclose(chol @ chol.T, np.array(g.covariance), rtol=0.0, atol=1e-12)
 
 
 def test_invalid_weight_rejected():
@@ -124,7 +137,7 @@ def test_pooled_moments_match_direct_sampling():
     for a in (0, 1):
         rows = protected == a
         g = spec.groups[a]
-        draws[rows] = rng.multivariate_normal(g.mean_array(), g.cov_array(), rows.sum())
+        draws[rows] = rng.multivariate_normal(g.mean_array(), np.array(g.covariance), rows.sum())
     x1, x2 = draws[:, 0], draws[:, 1]
 
     m = pooled_moments(spec)
