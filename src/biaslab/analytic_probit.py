@@ -28,7 +28,7 @@ Error sign convention: e = Yhat - Y.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import hypot, sqrt
 
 from scipy.special import ndtr
 
@@ -113,7 +113,7 @@ def _check_assumptions(spec: MixtureSpec) -> float:
             "Var(X2) must be equal across groups; got %r and %r"
             % (g0.var_x2, g1.var_x2)
         )
-    return g0.var_x2
+    return max(g0.var_x2, 0.0)  # dust below 0 is clipped, as in cholesky
 
 
 def omitted_group_errors_probit(
@@ -147,7 +147,7 @@ def omitted_group_errors_probit(
 
     def one_group(a: int) -> float:
         g = group_moments(spec, a)
-        d = sqrt(1.0 + beta.beta1 ** 2 * g.var_x1 + beta.beta2 ** 2 * var2)
+        d = hypot(1.0, beta.beta1 * sqrt(g.var_x1), beta.beta2 * sqrt(var2))
         base = beta.beta0 + beta.beta1 * g.e_x1
         short = float(ndtr((base + beta.beta2 * mu2_pooled) / d))
         true = float(ndtr((base + beta.beta2 * g.e_x2) / d))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from .analytic_linear import (
@@ -110,6 +111,9 @@ def _cmd_analytic(args) -> int:
     else:
         probit = ProbitDgpCoefficients(*beta)
         payload = dataclasses.asdict(omitted_group_errors_probit(probit, mixture))
+    non_finite = [name for name, value in payload.items() if not math.isfinite(value)]
+    if non_finite:  # json would print NaN or Infinity, which are not JSON
+        raise ConfigError("closed form is not finite: %s" % ", ".join(non_finite))
     print(json.dumps({"family": args.family, **payload}, indent=2))
     return 0
 

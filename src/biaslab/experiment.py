@@ -24,8 +24,9 @@ iff every scored |z| <= z_threshold. An ols cell's verdict leaves b_pop out:
 the normal equations of a fit with an intercept make its in-sample mean
 error exactly 0, so the emitted b_pop and se_pop are rounding, no z-score.
 
-A config with an unknown key, an invalid covariance or a group that gets
-no rows is refused at parse time. Cells whose fit raises (separation, rank
+A config with an unknown or missing key, an invalid covariance, a group
+that gets no rows or a cell whose closed form raises (Var(X1) too small)
+is refused at parse time. Cells whose fit raises (separation, rank
 deficiency, non-convergence) or whose audit has a non-finite statistic are
 recorded as rows with verdict "error" and a message naming the replication
 and its seed; a grid run always produces a full report.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from .analytic_linear import (
     GroupErrorPrediction,
@@ -125,6 +126,7 @@ class ExperimentCell:
             raise ConfigError(
                 "forest cells need n_per_group >= %d, got %d" % (min_leaf, self.dgp.n_per_group)
             )
+        analytic_for_cell(self)  # a closed form's precondition refuses the cell before it runs
 
 
 @dataclass(frozen=True)
@@ -143,29 +145,6 @@ class ExperimentConfig:
         z = self.z_threshold
         if isinstance(z, bool) or not isinstance(z, (int, float)) or not 0 < z < math.inf:
             raise ConfigError("z_threshold must be a finite positive number, got %r" % (z,))
-
-
-_ROW_FIELDS = (
-    "dgp",
-    "model",
-    "features",
-    "replications",
-    "b_pop",
-    "b_g0",
-    "b_g1",
-    "tau",
-    "se_pop",
-    "se_g0",
-    "se_g1",
-    "se_tau",
-    "analytic_b_g0",
-    "analytic_b_g1",
-    "analytic_tau",
-    "verdict",
-    "error",
-)
-_CSV_FIELDS = tuple(name for name in _ROW_FIELDS if name not in ("replications", "error"))
-CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 @dataclass
@@ -198,6 +177,11 @@ class ResultRow:
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in _ROW_FIELDS}
+
+
+_ROW_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "reports")
+_CSV_FIELDS = tuple(name for name in _ROW_FIELDS if name not in ("replications", "error"))
+CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
 def analytic_for_cell(cell: ExperimentCell) -> tuple[GroupErrorPrediction | None, float]:
@@ -401,57 +385,47 @@ def emit(rows: list[ResultRow], fmt: str, destination=None) -> None:
         raise ConfigError("cannot write %r: %s" % (destination, err)) from err
 
 
-def _check_keys(level: str, allowed: tuple[str, ...], *objs) -> None:
-    """Refuse any key of the JSON objects that the parser would silently ignore."""
-    for obj in objs:
-        if not isinstance(obj, dict):
-            raise ConfigError("%s must be a JSON object, got %r" % (level, obj))
-        unknown = [key for key in obj if key not in allowed]
-        if unknown:
-            raise ConfigError("unknown %s key %r, known: %r" % (level, unknown[0], allowed))
+def _fields_from(cls, level: str, obj, **json_keys) -> dict:
+    """The keyword arguments of dataclass cls found in a JSON object.
+
+    Its keys are cls's field names, or the JSON key json_keys gives a field;
+    any other key, or a missing one for a field without a default, is
+    refused. An absent optional key takes the dataclass default.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError("%s must be a JSON object, got %r" % (level, obj))
+    keys = {json_keys.get(f.name, f.name): f for f in fields(cls)}
+    for key in obj:
+        if key not in keys:
+            raise ConfigError("unknown %s key %r, known: %r" % (level, key, tuple(keys)))
+    for key, f in keys.items():
+        if key not in obj and f.default is MISSING:
+            raise ConfigError("missing %s key %r" % (level, key))
+    return {f.name: obj[key] for key, f in keys.items() if key in obj}
 
 
 def parse_mixture(obj: dict) -> MixtureSpec:
-    """Build a MixtureSpec from its JSON form; unknown keys are refused."""
-    _check_keys("mixture", ("groups", "weight_protected"), obj)
+    """Build a MixtureSpec from its JSON form; unknown and missing keys are refused."""
+    mixture = _fields_from(MixtureSpec, "mixture", obj)
     try:
-        _check_keys("group", ("mean", "covariance"), *obj["groups"])
-        groups = [GroupGaussianSpec(g["mean"], g["covariance"]) for g in obj["groups"]]
-        return MixtureSpec(groups, weight_protected=obj.get("weight_protected", 0.5))
-    except (KeyError, TypeError, ValueError, InvalidCovarianceError) as err:
+        groups = [_fields_from(GroupGaussianSpec, "group", g) for g in mixture.pop("groups")]
+        return MixtureSpec([GroupGaussianSpec(**g) for g in groups], **mixture)
+    except (TypeError, ValueError, InvalidCovarianceError) as err:
         raise ConfigError("malformed mixture spec: %s" % err) from err
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from its JSON form; unknown keys are refused."""
-    _check_keys("top-level", ("cells", "replications", "seed", "z_threshold"), obj)
+    """Build an ExperimentConfig from its JSON form; unknown and missing keys are refused."""
+    config = _fields_from(ExperimentConfig, "top-level", obj, base_seed="seed")
     try:
         cells = []
-        for cell in obj["cells"]:
-            _check_keys("cell", ("dgp", "model", "features", "replications"), cell)
-            dgp = cell["dgp"]
-            _check_keys("dgp", ("family", "beta", "mixture", "n_per_group"), dgp)
-            spec = DgpSpec(
-                family=dgp["family"],
-                beta=dgp["beta"],
-                mixture=parse_mixture(dgp["mixture"]),
-                n_per_group=dgp["n_per_group"],
-            )
-            cells.append(
-                ExperimentCell(
-                    dgp=spec,
-                    model=cell["model"],
-                    features=cell["features"],
-                    replications=cell.get("replications"),
-                )
-            )
-        return ExperimentConfig(
-            cells=tuple(cells),
-            replications=obj.get("replications", DEFAULT_REPLICATIONS),
-            base_seed=obj.get("seed", DEFAULT_SEED),
-            z_threshold=obj.get("z_threshold", 4.0),
-        )
-    except (KeyError, TypeError, ValueError) as err:
+        for cell_obj in config.pop("cells"):
+            cell = _fields_from(ExperimentCell, "cell", cell_obj)
+            dgp = _fields_from(DgpSpec, "dgp", cell.pop("dgp"))
+            dgp["mixture"] = parse_mixture(dgp["mixture"])
+            cells.append(ExperimentCell(DgpSpec(**dgp), **cell))
+        return ExperimentConfig(cells, **config)
+    except (TypeError, ValueError) as err:
         raise ConfigError("malformed config: %s" % err) from err
 
 

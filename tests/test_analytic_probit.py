@@ -155,6 +155,16 @@ def test_group_errors_have_opposite_signs():
         trials += 1
 
 
+def test_var_x2_rounding_below_zero_counts_as_zero():
+    # cholesky accepts Var(X2) down to -1e-10 and the simulator clips it to
+    # 0; the closed form takes the same variance instead of sqrt's domain error.
+    dust = ((1.0, 0.0), (0.0, -5e-11))
+    zero = ((1.0, 0.0), (0.0, 0.0))
+    beta = ProbitDgpCoefficients(-2.0, 1.0, 1.0)
+    clipped = omitted_group_errors_probit(beta, make_mixture((1, 1), (1, 3), dust, dust))
+    assert clipped == omitted_group_errors_probit(beta, make_mixture((1, 1), (1, 3), zero, zero))
+
+
 def test_group_errors_vanish_when_nothing_differs():
     same = make_mixture((0.0, 1.0), (2.0, 1.0))
     pred = omitted_group_errors_probit(BETA, same)

@@ -1,11 +1,15 @@
-"""The demo scripts run to completion against the package sources."""
+"""The demo scripts and README's examples run against the package sources."""
 
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from biaslab.experiment import CSV_HEADER, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -22,3 +26,24 @@ def test_demo_runs(name):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+README = (ROOT / "README.md").read_text()
+
+
+def readme_block(after: str, lang: str = "") -> str:
+    """The first fenced block of a language that follows a line of README.md."""
+    return re.search(r"%s\n.*?```%s\n(.*?)```" % (re.escape(after), lang), README, re.S).group(1)
+
+
+def test_readme_quick_look_runs():
+    exec(compile(readme_block("## Quick look", "python"), "README.md", "exec"), {})
+
+
+def test_readme_config_schema_parses():
+    config = parse_config(json.loads(readme_block("### Config schema", "json")))
+    assert config.cells[0].dgp.n_per_group == 10_000
+
+
+def test_readme_csv_columns_are_the_csv_header():
+    assert "".join(readme_block("CSV columns:").split()) == CSV_HEADER

@@ -1,13 +1,20 @@
 """Experiment grid: configs, aggregation, analytic attachment, rendering, CLI."""
 
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from scipy.special import ndtr
 
 import biaslab
 from biaslab import experiment
@@ -15,7 +22,7 @@ from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
 from biaslab.audit import ErrorReport, compare
 from biaslab.cli import main
 from biaslab.dgp import DgpSpec, derive_seed
-from biaslab.exceptions import ConfigError
+from biaslab.exceptions import BiaslabError, ConfigError
 from biaslab.experiment import (
     CSV_HEADER,
     ExperimentCell,
@@ -396,6 +403,31 @@ def test_parse_config_round_trip():
     assert config.base_seed == 11
     assert config.cells[0].dgp.family == "linear"
     assert config.cells[0].dgp.mixture == parse_mixture(MIXTURE_JSON)
+    assert config.z_threshold == 4.0  # an absent optional key takes the dataclass default
+    assert config.cells[0].replications is None
+
+
+@pytest.mark.parametrize(
+    "level,key",
+    [("top-level", "cells"), ("cell", "model"), ("dgp", "family"), ("mixture", "groups"),
+     ("group", "covariance")],
+)
+def test_parse_config_names_a_missing_key(level, key):
+    obj = json.loads(json.dumps(config_json()))
+    del at_level(obj, level)[key]
+    with pytest.raises(ConfigError, match="^missing %s key '%s'$" % (level, key)):
+        parse_config(obj)
+
+
+def test_parse_config_refuses_a_cell_its_closed_form_cannot_cover():
+    # Var(X1) = 1e-13 in both groups is a valid covariance that every fit
+    # survives, but the omitted-variable closed form needs Var(X1) > 1e-12:
+    # the cell is refused when it is built, before any replication runs.
+    cov = [[1e-13, 0.0], [0.0, 1.0]]
+    groups = [{"mean": [1, 1], "covariance": cov}, {"mean": [1, 3], "covariance": cov}]
+    obj = with_mixture(groups=groups)
+    with pytest.raises(BiaslabError, match="Var\\(X1\\)"):
+        parse_config(obj)
 
 
 def test_parse_config_rejects_malformed_input():
@@ -533,16 +565,20 @@ MISSPELT = {
 }
 
 
-def misspelt(level):
-    obj = json.loads(json.dumps(config_json()))  # a deep copy: MIXTURE_JSON stays as it is
-    target = {
+def at_level(obj, level):
+    """The JSON object of a config that a refusal message calls level."""
+    return {
         "top-level": obj,
         "cell": obj["cells"][0],
         "dgp": obj["cells"][0]["dgp"],
         "mixture": obj["cells"][0]["dgp"]["mixture"],
         "group": obj["cells"][0]["dgp"]["mixture"]["groups"][1],
     }[level]
-    target[MISSPELT[level]] = 0.5
+
+
+def misspelt(level):
+    obj = json.loads(json.dumps(config_json()))  # a deep copy: MIXTURE_JSON stays as it is
+    at_level(obj, level)[MISSPELT[level]] = 0.5
     return obj
 
 
@@ -601,6 +637,39 @@ def test_cli_analytic_probit_rejects_violated_assumptions(tmp_path, capsys):
     assert "covariance" in capsys.readouterr().err
 
 
+def test_probit_closed_form_survives_a_huge_omitted_coefficient(tmp_path, capsys):
+    # beta2 = 1e200 squares past the float range. The group errors are then
+    # their beta2 -> inf limit Phi(mu2 / s2) - Phi(mu2a / s2), with pooled
+    # mu2 = 2 and s2 = 1, in both commands and with no traceback.
+    limit = (ndtr(2.0) - ndtr(1.0), ndtr(2.0) - ndtr(3.0))
+    mix = tmp_path / "mixture.json"
+    mix.write_text(json.dumps(MIXTURE_JSON))
+    code = main(["analytic", "--family", "probit", "--beta=0,1,1e200", "--mixture", str(mix)])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["b_group0"], payload["b_group1"]) == pytest.approx(limit, abs=1e-9)
+    obj = with_cell(dgp={**config_json()["cells"][0]["dgp"], "family": "probit",
+                         "beta": [0.0, 1.0, 1e200]}, model="probit")
+    assert main(["run", "--config", write_config(tmp_path, obj), "--format", "json"]) in (0, 1)
+    captured = capsys.readouterr()
+    row = json.loads(captured.out)["rows"][0]
+    assert (row["analytic_b_g0"], row["analytic_b_g1"]) == pytest.approx(limit, abs=1e-9)
+    assert row["verdict"] in ("consistent", "inconsistent")
+    assert captured.err == ""
+
+
+def test_cli_analytic_refuses_a_non_finite_closed_form(tmp_path, capsys):
+    # beta2 = 1e308 overflows the linear group errors; json would print NaN
+    # and Infinity, which are not JSON, so the command refuses instead.
+    mix = tmp_path / "mixture.json"
+    mix.write_text(json.dumps(MIXTURE_JSON))
+    code = main(["analytic", "--family", "linear", "--beta=0,1,1e308", "--mixture", str(mix)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: closed form is not finite: b_pop, b_group0")
+
+
 def test_cli_bad_beta(tmp_path, capsys):
     mix = tmp_path / "mixture.json"
     mix.write_text(json.dumps(MIXTURE_JSON))
@@ -619,6 +688,74 @@ def test_cli_entry_point_runs_as_module(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["tau"] == pytest.approx(-0.37589346050503821, abs=1e-12)
+
+
+# --- fuzzed configs ---
+
+
+def _paths(node, path=()):
+    """The path of every value in a JSON tree, the root and containers included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _replaced(obj, path, value):
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    node = obj
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return obj
+
+
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.dictionaries(st.text(max_size=4), st.integers(-3, 3), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1),
+    st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=10.0, exclude_min=True).filter(lambda v: v != int(v)),
+)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A small valid two-cell config with one value, at any level, replaced."""
+    # n_per_group and replications come from small ranges, and no drawn value
+    # is a large positive integer: a large count allocates real memory or
+    # runs for minutes (2**70 rows is not refused before numpy sees it).
+    obj = config_json(replications=draw(st.integers(1, 3)))
+    obj["cells"][0]["dgp"]["n_per_group"] = draw(st.integers(5, 60))
+    probit = {**obj["cells"][0]["dgp"], "family": "probit", "beta": [0.0, 1.0, 1.0]}
+    obj["cells"].append({"dgp": probit, "model": "probit", "features": "x1_only"})
+    path = draw(st.sampled_from(list(_paths(obj))))
+    return _replaced(obj, path, draw(JSON_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=fuzzed_configs())
+def test_cli_run_reports_or_refuses_any_json_shaped_config(obj):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(obj))
+        # An overflow in numpy warns on stderr, as the command line shows it,
+        # instead of raising as this suite's RuntimeWarning filter would.
+        with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main(["run", "--config", str(path)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    else:
+        assert len(out.getvalue().splitlines()) == 1 + len(obj["cells"])
 
 
 # --- package surface ---
