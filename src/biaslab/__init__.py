@@ -28,7 +28,6 @@ from .audit import ErrorReport, compare, error_report
 from .dgp import Dataset, DgpSpec, derive_seed, generate
 from .estimators import (
     FittedModel,
-    ForestParams,
     fit_forest,
     fit_logit,
     fit_ols,
@@ -74,7 +73,6 @@ __all__ = [
     "ExperimentCell",
     "ExperimentConfig",
     "FittedModel",
-    "ForestParams",
     "GroupErrorPrediction",
     "GroupGaussianSpec",
     "InvalidCovarianceError",

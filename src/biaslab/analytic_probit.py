@@ -69,12 +69,12 @@ def std_normal_cdf(x):
 def gaussian_cdf_expectation(a: float, b: float, mu: float, sigma: float) -> float:
     """E[Phi(a + b*X)] for X ~ N(mu, sigma^2), in closed form.
 
-    Equals Phi((a + b*mu) / sqrt(1 + b^2 sigma^2)); at sigma = 0 this
-    reduces to Phi(a + b*mu).
+    Equals Phi((a + b*mu) / sqrt(1 + b^2 sigma^2)), the root taken as
+    hypot(1, b*sigma), which never squares; at sigma = 0, Phi(a + b*mu).
     """
     if sigma < 0:
         raise ValueError("sigma must be nonnegative, got %r" % (sigma,))
-    return float(ndtr((a + b * mu) / sqrt(1.0 + b * b * sigma * sigma)))
+    return float(ndtr((a + b * mu) / hypot(1.0, b * sigma)))
 
 
 def omitted_coefficients_probit(
@@ -87,11 +87,12 @@ def omitted_coefficients_probit(
 
     Valid when X2 is independent of X1 and Gaussian(mu2, sigma2^2) in the
     population; enforcing that is the caller's responsibility here (the
-    group-error entry point checks it).
+    group-error entry point checks it). The root is hypot(1, beta2*sigma2),
+    which never squares, so it does not overflow where b^2 sigma^2 would.
     """
     if not sigma2 > 0:
         raise ValueError("sigma2 must be positive, got %r" % (sigma2,))
-    denom = sqrt(1.0 + beta.beta2 * beta.beta2 * sigma2 * sigma2)
+    denom = hypot(1.0, beta.beta2 * sigma2)
     return ProbitShortCoefficients(
         gamma0=(beta.beta0 + beta.beta2 * mu2) / denom,
         gamma1=beta.beta1 / denom,

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .moments import MixtureSpec
+from .moments import MixtureSpec, _reals
 
 FAMILIES = ("linear", "polynomial", "probit", "logit")
 REGRESSION_FAMILIES = ("linear", "polynomial")
@@ -34,6 +35,17 @@ CLASSIFICATION_FAMILIES = ("probit", "logit")
 
 _BETA_LENGTH = {"linear": 3, "polynomial": 6, "probit": 3, "logit": 3}
 _SEED_MASK = (1 << 64) - 1
+# 100x the largest reference workload; far larger draws fail in numpy's allocator.
+MAX_N_PER_GROUP = 10_000_000
+
+
+def _count(name: str, value, minimum=-math.inf, maximum=math.inf) -> int:
+    """value as an int; a bool, a fraction or a value out of range is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if not minimum <= value <= maximum:
+        raise ValueError("%s must lie in [%s, %s], got %d" % (name, minimum, maximum, value))
+    return int(value)
 
 
 def derive_seed(base_seed: int, *tags) -> int:
@@ -61,9 +73,10 @@ class DgpSpec:
     mixture : MixtureSpec
         Group-conditional feature distributions and weights.
     n_per_group : int
-        Half the row count: ``2 * n_per_group`` rows are drawn and split
-        between the groups by the mixture's ``weight_protected``; a split
-        that leaves either group without rows raises ValueError.
+        Half the row count, at most ``MAX_N_PER_GROUP``: ``2 * n_per_group``
+        rows are drawn and split between the groups by the mixture's
+        ``weight_protected``; a split that leaves either group fewer than two
+        rows, which a standard error needs, raises ValueError.
     """
 
     family: str
@@ -74,7 +87,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError("unknown family %r, expected one of %r" % (self.family, FAMILIES))
-        beta = tuple(float(b) for b in self.beta)
+        beta = _reals("beta", self.beta)
         object.__setattr__(self, "beta", beta)
         want = _BETA_LENGTH[self.family]
         if len(beta) != want:
@@ -83,12 +96,10 @@ class DgpSpec:
             )
         if not all(math.isfinite(b) for b in beta):
             raise ValueError("beta entries must be finite")
-        n = self.n_per_group
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-            raise ValueError("n_per_group must be a positive integer, got %r" % (n,))
-        object.__setattr__(self, "n_per_group", int(n))
-        if 0 in self.group_sizes:
-            raise ValueError("a group gets no rows: group sizes %d and %d" % self.group_sizes)
+        n = _count("n_per_group", self.n_per_group, 1, MAX_N_PER_GROUP)
+        object.__setattr__(self, "n_per_group", n)
+        if min(self.group_sizes) < 2:
+            raise ValueError("a group has under two rows: group sizes %d and %d" % self.group_sizes)
 
     @property
     def group_sizes(self) -> tuple[int, int]:

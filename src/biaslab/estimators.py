@@ -34,6 +34,11 @@ _SEPARATION_INDEX = 30.0
 _RANK_TOL = 1e-10
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
+# The forest's shape: declared, not tuned.
+N_TREES = 100
+MAX_DEPTH = 8
+MIN_LEAF = 5
+
 
 def _check_features(features: str) -> None:
     if features not in FEATURE_SETS:
@@ -57,22 +62,6 @@ class FitDiagnostics:
     iterations: int
     grad_max: float
     log_likelihood: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ForestParams:
-    """Forest hyperparameters; the defaults are declared, not tuned."""
-
-    n_trees: int = 100
-    max_depth: int = 8
-    min_leaf: int = 5
-
-    def __post_init__(self):
-        for name, minimum in (("n_trees", 1), ("max_depth", 0), ("min_leaf", 1)):
-            value = getattr(self, name)
-            exact = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-            if not exact or value < minimum:
-                raise ValueError("%s must be an integer >= %d, got %r" % (name, minimum, value))
 
 
 @dataclass(frozen=True)
@@ -249,7 +238,7 @@ def fit_logit(data: Dataset, features: str) -> FittedModel:
     return _fit_mle(data, features, _LogitLink, "logit")
 
 
-def _grow_tree(xmat: np.ndarray, y: np.ndarray, params: ForestParams) -> Tree:
+def _grow_tree(xmat: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> Tree:
     """CART regression tree: greedy variance-reduction splits, depth-capped.
 
     Each node scores every (feature, left size) pair in one pass and takes
@@ -259,7 +248,6 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, params: ForestParams) -> Tree:
     so the applied split is always the scored one.
     """
     xt = np.ascontiguousarray(xmat.T)  # feature-major: each node sorts rows of it
-    lo = params.min_leaf
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
     stack = [(0, np.arange(y.shape[0]), 0)]
     while stack:
@@ -267,7 +255,7 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, params: ForestParams) -> Tree:
         yr = y[rows]
         m = rows.shape[0]
         nodes[node][4] = float(yr.mean())
-        if depth >= params.max_depth or m < 2 * lo or yr.min() == yr.max():
+        if depth >= max_depth or m < 2 * min_leaf or yr.min() == yr.max():
             continue
         xr = xt[:, rows]
         order = np.argsort(xr, axis=1, kind="stable")
@@ -275,16 +263,16 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, params: ForestParams) -> Tree:
         ys = yr[order]
         csum = np.cumsum(ys, axis=1)
         csum2 = np.cumsum(ys * ys, axis=1)
-        hi = m - lo
-        sizes = np.arange(lo, hi + 1)  # left child sizes
-        ls, ls2 = csum[:, lo - 1 : hi], csum2[:, lo - 1 : hi]
+        hi = m - min_leaf
+        sizes = np.arange(min_leaf, hi + 1)  # left child sizes
+        ls, ls2 = csum[:, min_leaf - 1 : hi], csum2[:, min_leaf - 1 : hi]
         rs, rs2 = csum[:, -1:] - ls, csum2[:, -1:] - ls2
         cost = (ls2 - ls * ls / sizes) + (rs2 - rs * rs / (m - sizes))
-        cost = np.where(xs[:, lo - 1 : hi] < xs[:, lo : hi + 1], cost, np.inf)
+        cost = np.where(xs[:, min_leaf - 1 : hi] < xs[:, min_leaf : hi + 1], cost, np.inf)
         f, i = divmod(int(np.argmin(cost)), cost.shape[1])
         if cost[f, i] == np.inf:
             continue
-        i += lo
+        i += min_leaf
         below, above = float(xs[f, i - 1]), float(xs[f, i])
         thr = 0.5 * (below + above)
         if not thr < above:  # adjacent floats: the midpoint rounded up
@@ -336,31 +324,25 @@ def _pool_map(task, items, inputs):
 
 
 def _fit_tree(t: int, inputs) -> Tree:
-    x, y, params, seed = inputs
+    x, y, seed = inputs
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
     boot = rng.integers(0, y.shape[0], size=y.shape[0])
-    return _grow_tree(x[boot], y[boot], params)
+    return _grow_tree(x[boot], y[boot], MAX_DEPTH, MIN_LEAF)
 
 
-def fit_forest(
-    data: Dataset,
-    features: str,
-    params: ForestParams | None = None,
-    seed: int = 0,
-) -> FittedModel:
+def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     """Bagged CART regression forest for y, deterministic given the seed.
 
     Each tree trains on a full-size bootstrap resample drawn from its own
     counter-derived substream, so the ensemble is identical regardless of
     the order trees are built in or the number of workers building them.
     """
-    params = params or ForestParams()
     x = _design(data.x1, data.x2, features)[:, 1:]  # trees do not use an intercept
     y = np.asarray(data.y, dtype=float)
     n = y.shape[0]
-    if n < 2 * params.min_leaf:
-        raise ValueError("need at least 2*min_leaf rows, got %d" % n)
-    trees = tuple(_pool_map(_fit_tree, range(params.n_trees), (x, y, params, seed)))
+    if n < 2 * MIN_LEAF:
+        raise ValueError("need at least 2*MIN_LEAF rows, got %d" % n)
+    trees = tuple(_pool_map(_fit_tree, range(N_TREES), (x, y, seed)))
     return FittedModel(family="forest", features=features, forest=trees)
 
 

@@ -24,12 +24,12 @@ iff every scored |z| <= z_threshold. An ols cell's verdict leaves b_pop out:
 the normal equations of a fit with an intercept make its in-sample mean
 error exactly 0, so the emitted b_pop and se_pop are rounding, no z-score.
 
-A config with an unknown or missing key, an invalid covariance, a group
-that gets no rows or a cell whose closed form raises (Var(X1) too small)
-is refused at parse time. Cells whose fit raises (separation, rank
-deficiency, non-convergence) or whose audit has a non-finite statistic are
-recorded as rows with verdict "error" and a message naming the replication
-and its seed; a grid run always produces a full report.
+A config with an unknown or missing key, a non-number where a number
+goes, an invalid covariance, a group with under two rows or a cell whose
+closed form raises (Var(X1) too small) is refused at parse time. Cells
+whose fit raises (separation, rank deficiency, non-convergence) or whose
+audit has a non-finite statistic become rows with verdict "error" and a
+message naming the replication and its seed; a run always reports fully.
 """
 
 from __future__ import annotations
@@ -49,12 +49,13 @@ from .audit import ErrorReport, compare, error_report, mean_se
 from .dgp import (
     CLASSIFICATION_FAMILIES,
     DgpSpec,
+    _count,
     derive_seed,
     generate,
 )
 from .estimators import (
     FEATURE_SETS,
-    ForestParams,
+    MIN_LEAF,
     fit_forest,
     fit_logit,
     fit_ols,
@@ -67,7 +68,7 @@ from .exceptions import (
     ConfigError,
     InvalidCovarianceError,
 )
-from .moments import GroupGaussianSpec, MixtureSpec
+from .moments import GroupGaussianSpec, MixtureSpec, _real
 
 MODELS = ("ols", "probit", "logit", "forest")
 DEFAULT_SEED = 20240914
@@ -92,14 +93,6 @@ TABLE_MIXTURE = MixtureSpec(
 )
 
 
-def _check_int(name: str, value, minimum: int | None = None) -> None:
-    """Refuse anything but an exact integer (bools too) at or above minimum."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("%s must be an integer, got %r" % (name, value))
-    if minimum is not None and value < minimum:
-        raise ConfigError("%s must be >= %d, got %d" % (name, minimum, value))
-
-
 @dataclass(frozen=True)
 class ExperimentCell:
     """One grid cell: a data generating process, a model family, a feature set."""
@@ -107,7 +100,6 @@ class ExperimentCell:
     dgp: DgpSpec
     model: str
     features: str
-    replications: int | None = None  # overrides the config-wide count
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -119,12 +111,9 @@ class ExperimentCell:
                 "%s model needs binary outcomes; DGP family %r has none"
                 % (self.model, self.dgp.family)
             )
-        if self.replications is not None:
-            _check_int("replications", self.replications, minimum=1)
-        min_leaf = ForestParams().min_leaf
-        if self.model == "forest" and self.dgp.n_per_group < min_leaf:
+        if self.model == "forest" and self.dgp.n_per_group < MIN_LEAF:
             raise ConfigError(
-                "forest cells need n_per_group >= %d, got %d" % (min_leaf, self.dgp.n_per_group)
+                "forest cells need n_per_group >= %d, got %d" % (MIN_LEAF, self.dgp.n_per_group)
             )
         analytic_for_cell(self)  # a closed form's precondition refuses the cell before it runs
 
@@ -140,10 +129,13 @@ class ExperimentConfig:
         object.__setattr__(self, "cells", tuple(self.cells))
         if not self.cells:
             raise ConfigError("config needs at least one cell")
-        _check_int("replications", self.replications, minimum=1)
-        _check_int("seed", self.base_seed)
-        z = self.z_threshold
-        if isinstance(z, bool) or not isinstance(z, (int, float)) or not 0 < z < math.inf:
+        try:
+            _count("replications", self.replications, 1)
+            _count("seed", self.base_seed)
+            z = _real("z_threshold", self.z_threshold)
+        except ValueError as err:
+            raise ConfigError(str(err)) from err
+        if not 0 < z < math.inf:
             raise ConfigError("z_threshold must be a finite positive number, got %r" % (z,))
 
 
@@ -262,10 +254,9 @@ def _non_finite(report: ErrorReport) -> str:
 def run_cell(
     cell: ExperimentCell, cell_index: int, config: ExperimentConfig, keep_reports: bool = False
 ) -> ResultRow:
-    replications = cell.replications or config.replications
-    row = ResultRow(cell.dgp.family, cell.model, cell.features, replications)
+    row = ResultRow(cell.dgp.family, cell.model, cell.features, config.replications)
     reports = []
-    for r in range(replications):
+    for r in range(config.replications):
         seed = derive_seed(config.base_seed, cell_index, r)
         try:
             reports.append(run_replication(cell, seed))

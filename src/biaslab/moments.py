@@ -9,11 +9,26 @@ those moments exactly via the laws of total expectation and covariance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import InvalidCovarianceError
+
+
+def _real(name: str, value) -> float:
+    """value as a float; anything but a real number (a bool, a string) is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a real number, got %r" % (name, value))
+    return float(value)
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """A list or tuple of reals, each by the rule of :func:`_real`."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError("%s must be a list of real numbers, got %r" % (name, values))
+    return tuple(_real(name, v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -33,8 +48,8 @@ class GroupGaussianSpec:
     covariance: tuple[tuple[float, float], tuple[float, float]]
 
     def __post_init__(self):
-        mean = tuple(float(v) for v in self.mean)
-        cov = tuple(tuple(float(v) for v in row) for row in self.covariance)
+        mean = _reals("mean", self.mean)
+        cov = tuple(_reals("covariance row", row) for row in self.covariance)
         if len(mean) != 2 or len(cov) != 2 or any(len(row) != 2 for row in cov):
             raise InvalidCovarianceError("mean must be a 2-vector and covariance 2x2")
         object.__setattr__(self, "mean", mean)
@@ -87,7 +102,8 @@ class MixtureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "weight_protected", float(self.weight_protected))
+        weight = _real("weight_protected", self.weight_protected)
+        object.__setattr__(self, "weight_protected", weight)
         if len(self.groups) != 2:
             raise InvalidCovarianceError("exactly two groups are supported")
         if not 0.0 <= self.weight_protected <= 1.0:

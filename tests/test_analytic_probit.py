@@ -103,6 +103,16 @@ def test_short_coefficients_attenuate():
         omitted_coefficients_probit(BETA, mu2=0.0, sigma2=0.0)
 
 
+def test_public_helpers_take_the_large_coefficient_limit():
+    # b * sigma = 1e200 squares past the float range. As b grows,
+    # E[Phi(b X)] for X ~ N(1, 1) tends to Phi(1), and the short probit's
+    # (gamma0, gamma1) tends to (mu2 / sigma2, 0) = (2, 0).
+    phi_one = dict(PHI_REFERENCE)[1.0]
+    assert gaussian_cdf_expectation(0.0, 1e200, 1.0, 1.0) == pytest.approx(phi_one, abs=1e-9)
+    gamma = omitted_coefficients_probit(ProbitDgpCoefficients(0.0, 1.0, 1e200), 2.0, 1.0)
+    assert (gamma.gamma0, gamma.gamma1) == pytest.approx((2.0, 0.0), abs=1e-9)
+
+
 def test_reference_group_errors():
     pred = omitted_group_errors_probit(BETA, independent_mixture())
     assert pred.b_group0 == pytest.approx(0.21814856917461349, abs=1e-12)

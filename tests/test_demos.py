@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from biaslab.estimators import MAX_DEPTH, MIN_LEAF, N_TREES
 from biaslab.experiment import CSV_HEADER, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,3 +48,9 @@ def test_readme_config_schema_parses():
 
 def test_readme_csv_columns_are_the_csv_header():
     assert "".join(readme_block("CSV columns:").split()) == CSV_HEADER
+
+
+def test_readme_numerics_states_the_forest_shape():
+    numerics = README.split("## Numerics", 1)[1]
+    shape = "%d trees, depth %d, minimum leaf %d" % (N_TREES, MAX_DEPTH, MIN_LEAF)
+    assert shape in " ".join(numerics.split())

@@ -55,15 +55,18 @@ def test_group_sizes_follow_the_protected_weight():
     assert np.array_equal(ds.a, np.repeat([0, 1], (900, 100)))
 
 
-@pytest.mark.parametrize("weight,n,sizes", [(0.0004, 500, (1000, 0)), (1.0, 5, (0, 10))])
+@pytest.mark.parametrize(
+    "weight,n,sizes", [(0.0004, 500, (1000, 0)), (1.0, 5, (0, 10)), (0.001, 500, (999, 1))]
+)
 def test_a_group_without_rows_is_refused(weight, n, sizes):
-    # The same group_sizes that generate draws with decide the refusal.
+    # The same group_sizes that generate draws with decide the refusal. A
+    # group needs two rows, since one row gives a standard error of 0.
     mixture = make_mixture((0.0, 1.0), (0.5, 2.0), weight=weight)
     with pytest.raises(ValueError, match="group sizes %d and %d" % sizes):
         spec_for("linear", mixture=mixture, n=n)
-    smallest = spec_for("linear", mixture=make_mixture((0, 1), (0, 1), weight=0.001), n=500)
-    assert smallest.group_sizes == (999, 1)
-    assert np.array_equal(generate(smallest, seed=2).a, np.repeat([0, 1], (999, 1)))
+    smallest = spec_for("linear", mixture=make_mixture((0, 1), (0, 1), weight=0.002), n=500)
+    assert smallest.group_sizes == (998, 2)
+    assert np.array_equal(generate(smallest, seed=2).a, np.repeat([0, 1], (998, 2)))
 
 
 def test_feature_moments_match_the_mixture():
@@ -129,7 +132,7 @@ def test_spec_validation():
         spec_for("linear", beta=(1.0, 2.0))
     with pytest.raises(ValueError):
         spec_for("polynomial", beta=LINEAR_BETA)
-    for n in (0, True, 2.5, "10"):
+    for n in (0, True, 2.5, "10", 10_000_001):
         with pytest.raises(ValueError):
             spec_for("linear", n=n)
     with pytest.raises(ValueError):

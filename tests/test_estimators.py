@@ -9,7 +9,9 @@ from scipy.special import log_ndtr
 from biaslab import estimators
 from biaslab.dgp import DgpSpec, derive_seed, generate
 from biaslab.estimators import (
-    ForestParams,
+    MAX_DEPTH,
+    MIN_LEAF,
+    N_TREES,
     _grow_tree,
     _LogitLink,
     _ProbitLink,
@@ -86,7 +88,11 @@ def test_ols_rejects_collinear_designs():
 
 def test_ols_rejects_fewer_rows_than_columns():
     # One row per group with both features: a 2x3 design has no unique fit.
-    ds = dataset("linear", (-2.0, 1.0, 1.0), n=1, seed=3)
+    # A spec refuses groups of one row, so the two rows come from a larger draw.
+    from biaslab.dgp import Dataset
+
+    full = dataset("linear", (-2.0, 1.0, 1.0), n=2, seed=3)
+    ds = Dataset(*(column[[0, 2]] for column in (full.x1, full.x2, full.a, full.y)))
     with pytest.raises(RankDeficiencyError, match="2 rows for 3 columns"):
         fit_ols(ds, "both")
     assert len(fit_ols(ds, "x1_only").coefficients) == 2
@@ -284,7 +290,7 @@ def test_forest_fits_a_constant():
     rng = np.random.default_rng(15)
     x1 = rng.standard_normal(100)
     ds = Dataset(x1=x1, x2=rng.standard_normal(100), a=np.zeros(100, dtype=np.int64), y=np.full(100, 3.25))
-    model = fit_forest(ds, "both", ForestParams(n_trees=10), seed=0)
+    model = fit_forest(ds, "both", seed=0)
     assert np.all(predict(model, x1, ds.x2) == 3.25)
 
 
@@ -295,7 +301,7 @@ def test_forest_learns_a_step_function():
     x1 = np.concatenate([rng.uniform(-2.0, -0.5, 400), rng.uniform(0.5, 2.0, 400)])
     y = (x1 > 0.0).astype(float)
     ds = Dataset(x1=x1, x2=np.zeros_like(x1), a=np.zeros(800, dtype=np.int64), y=y)
-    model = fit_forest(ds, "x1_only", ForestParams(n_trees=25), seed=1)
+    model = fit_forest(ds, "x1_only", seed=1)
     probe = np.array([-1.5, -0.8, 0.8, 1.5])
     assert predict(model, probe) == pytest.approx([0.0, 0.0, 1.0, 1.0], abs=0.02)
 
@@ -303,11 +309,10 @@ def test_forest_learns_a_step_function():
 def test_forest_is_deterministic_in_the_seed():
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=300, seed=17)
     probe = np.linspace(-1.0, 3.0, 64)
-    params = ForestParams(n_trees=12)
-    one = predict(fit_forest(ds, "x1_only", params, seed=5), probe)
-    two = predict(fit_forest(ds, "x1_only", params, seed=5), probe)
+    one = predict(fit_forest(ds, "x1_only", seed=5), probe)
+    two = predict(fit_forest(ds, "x1_only", seed=5), probe)
     assert one.tobytes() == two.tobytes()
-    other = predict(fit_forest(ds, "x1_only", params, seed=6), probe)
+    other = predict(fit_forest(ds, "x1_only", seed=6), probe)
     assert not np.array_equal(one, other)
 
 
@@ -315,7 +320,7 @@ def test_forest_score_is_the_mean_over_trees():
     # The running sum in tree order equals numpy's axis-0 mean of the
     # stacked tree scores byte for byte whenever there are two or more rows.
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=200, seed=18)
-    model = fit_forest(ds, "both", ForestParams(n_trees=7), seed=2)
+    model = fit_forest(ds, "both", seed=2)
     for rows in (2, 3, ds.n):
         x1, x2 = ds.x1[:rows], ds.x2[:rows]
         per_tree = np.vstack([_tree_predict(t, np.column_stack([x1, x2])) for t in model.forest])
@@ -324,8 +329,7 @@ def test_forest_score_is_the_mean_over_trees():
 
 def test_forest_tree_structure_invariants():
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=400, seed=19)
-    params = ForestParams(n_trees=5, max_depth=4)
-    model = fit_forest(ds, "both", params, seed=3)
+    model = fit_forest(ds, "both", seed=3)
     for tree in model.forest:
         internal = tree.feature >= 0
         assert np.all(tree.left[internal] >= 0)
@@ -333,20 +337,20 @@ def test_forest_tree_structure_invariants():
         assert np.all(tree.left[~internal] == -1)
         assert np.all(np.isfinite(tree.value))
         # a binary tree of depth d has at most 2^(d+1) - 1 nodes
-        assert tree.feature.shape[0] <= 2 ** (params.max_depth + 1) - 1
+        assert tree.feature.shape[0] <= 2 ** (MAX_DEPTH + 1) - 1
 
 
 def test_forest_requires_enough_rows():
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=2, seed=20)
     with pytest.raises(ValueError):
-        fit_forest(ds, "both", ForestParams(min_leaf=5), seed=0)
+        fit_forest(ds, "both", seed=0)
 
 
 def test_forest_without_x2_shows_opposite_group_errors():
     # The same mechanism the closed form predicts for the short linear
     # model shows up in the nonparametric fit.
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=2_000, seed=21)
-    model = fit_forest(ds, "x1_only", ForestParams(n_trees=30), seed=4)
+    model = fit_forest(ds, "x1_only", seed=4)
     e = predict(model, ds.x1) - ds.y
     b0 = e[ds.a == 0].mean()
     b1 = e[ds.a == 1].mean()
@@ -354,42 +358,22 @@ def test_forest_without_x2_shows_opposite_group_errors():
     assert abs(b1 - b0) > 0.5
 
 
-@pytest.mark.parametrize(
-    "field,value",
-    [
-        ("n_trees", 0),
-        ("n_trees", 2.0),
-        ("n_trees", True),
-        ("max_depth", -1),
-        ("max_depth", "8"),
-        ("min_leaf", 0),
-        ("min_leaf", 2.5),
-        ("min_leaf", False),
-    ],
-)
-def test_forest_params_refuse_bad_values(field, value):
-    with pytest.raises(ValueError, match=field):
-        ForestParams(**{field: value})
-
-
 @pytest.mark.parametrize("features", ["both", "x1_only"])
 def test_pooled_forest_equals_trees_grown_one_by_one(features):
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=22)
-    params = ForestParams(n_trees=6, max_depth=5)
-    model = fit_forest(ds, features, params, seed=9)
+    model = fit_forest(ds, features, seed=9)
     x = np.column_stack([ds.x1, ds.x2] if features == "both" else [ds.x1])
-    assert len(model.forest) == params.n_trees
+    assert len(model.forest) == N_TREES
     for t, tree in enumerate(model.forest):
         rng = np.random.Generator(np.random.Philox(key=derive_seed(9, "tree", t)))
         boot = rng.integers(0, ds.n, size=ds.n)
-        want = _grow_tree(x[boot], ds.y[boot], params)
+        want = _grow_tree(x[boot], ds.y[boot], MAX_DEPTH, MIN_LEAF)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
 
 
 def test_forest_is_the_same_for_any_worker_count(monkeypatch):
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=24)
-    params = ForestParams(n_trees=7, max_depth=5)
     pools = []
 
     class RecordingPool(estimators.ProcessPoolExecutor):
@@ -401,14 +385,14 @@ def test_forest_is_the_same_for_any_worker_count(monkeypatch):
     runs = []
     for cores in (1, 3):
         monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid, k=cores: set(range(k)))
-        model = fit_forest(ds, "both", params, seed=11)
+        model = fit_forest(ds, "both", seed=11)
         trees = [tuple(a.tobytes() for a in vars(tree).values()) for tree in model.forest]
         runs.append((trees, predict(model, ds.x1, ds.x2).tobytes()))
     assert pools == [1, 1, 3, 3]
     assert runs[0] == runs[1]
 
 
-def reference_tree(xmat, y, params):
+def reference_tree(xmat, y, max_depth, min_leaf):
     """Per-feature CART grower (Breiman et al., 1984), one Python loop per feature.
 
     Splits minimise the children's summed squared deviations; ties go to the
@@ -423,7 +407,7 @@ def reference_tree(xmat, y, params):
         yr = y[rows]
         m = rows.shape[0]
         nodes[node][4] = float(yr.mean())
-        if depth >= params.max_depth or m < 2 * params.min_leaf or yr.min() == yr.max():
+        if depth >= max_depth or m < 2 * min_leaf or yr.min() == yr.max():
             continue
         best = None
         for f in range(xmat.shape[1]):
@@ -431,7 +415,7 @@ def reference_tree(xmat, y, params):
             order = np.argsort(xf, kind="stable")
             xs, ys = xf[order], yr[order]
             csum, csum2 = np.cumsum(ys), np.cumsum(ys * ys)
-            sizes = np.arange(params.min_leaf, m - params.min_leaf + 1)
+            sizes = np.arange(min_leaf, m - min_leaf + 1)
             sizes = sizes[xs[sizes - 1] < xs[sizes]]
             if sizes.shape[0] == 0:
                 continue
@@ -469,9 +453,9 @@ def test_grower_matches_the_per_feature_reference(seed, x_kind):
         y = xmat.sum(axis=1) + rng.standard_normal(n)
         if case % 4 >= 2:
             y = np.round(y)
-        params = ForestParams(min_leaf=int(rng.integers(1, 8)), max_depth=int(rng.integers(1, 9)))
-        tree = _grow_tree(xmat, y, params)
-        want = reference_tree(xmat, y, params)
+        min_leaf, max_depth = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        tree = _grow_tree(xmat, y, max_depth, min_leaf)
+        want = reference_tree(xmat, y, max_depth, min_leaf)
         for name, expected in zip(("feature", "threshold", "left", "right", "value"), want):
             assert np.array_equal(getattr(tree, name), expected), (case, name)
 
@@ -483,7 +467,7 @@ def test_split_applies_the_scored_partition_between_adjacent_floats():
     assert 0.5 * (a + b) == b
     xmat = np.array([a] * 5 + [b] * 5 + [2.0] * 5)[:, None]
     y = np.array([0.0] * 5 + [10.0] * 10)
-    tree = _grow_tree(xmat, y, ForestParams(max_depth=1, min_leaf=5))
+    tree = _grow_tree(xmat, y, max_depth=1, min_leaf=5)
     assert tree.feature[0] == 0
     assert a <= tree.threshold[0] < b
     assert tree.value[tree.left[0]] == 0.0

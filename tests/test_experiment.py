@@ -215,13 +215,6 @@ def test_unequal_group_weights_match_the_closed_form():
     assert row.verdict == "consistent"
 
 
-def test_per_cell_replication_override():
-    cell = small_cell(n=500)
-    solo = ExperimentCell(dgp=cell.dgp, model=cell.model, features=cell.features, replications=1)
-    rows = run(small_config([solo], replications=4))
-    assert rows[0].replications == 1
-
-
 def fake_report(seed):
     rng = np.random.default_rng(seed)
     b0, b1 = rng.standard_normal(2)
@@ -404,7 +397,6 @@ def test_parse_config_round_trip():
     assert config.cells[0].dgp.family == "linear"
     assert config.cells[0].dgp.mixture == parse_mixture(MIXTURE_JSON)
     assert config.z_threshold == 4.0  # an absent optional key takes the dataclass default
-    assert config.cells[0].replications is None
 
 
 @pytest.mark.parametrize(
@@ -497,6 +489,29 @@ def with_cell(n_per_group=200, **cell):
     return obj
 
 
+def with_mixture(n_per_group=200, **mixture):
+    obj = with_cell(n_per_group)
+    obj["cells"][0]["dgp"]["mixture"] = {**MIXTURE_JSON, **mixture}
+    return obj
+
+
+def with_covariance(covariance):
+    return with_mixture(groups=[{"mean": [0, 0], "covariance": covariance}] * 2)
+
+
+# Numbers given as strings or booleans. Each is refused, and a string is
+# never iterated: "12" is not the mean (1, 2).
+NON_NUMERIC_MIXTURES = {
+    "string-weight-number": {**MIXTURE_JSON, "weight_protected": "0.5"},
+    "string-and-bool-mean": {
+        "groups": [{"mean": ["1", True], "covariance": [[1, 0], [0, 1]]}] * 2
+    },
+    "string-mean-and-covariance": {
+        "groups": [{"mean": "12", "covariance": ["10", "01"]}] * 2
+    },
+}
+
+
 @pytest.mark.parametrize(
     "obj",
     [
@@ -509,6 +524,9 @@ def with_cell(n_per_group=200, **cell):
         with_cell(n_per_group=True),
         with_cell(replications=1.5),
         with_cell(n_per_group=3, model="forest"),
+        with_cell(n_per_group=2**70),
+        with_cell(dgp={**config_json()["cells"][0]["dgp"], "beta": ["-2", True, "1e0"]}),
+        *(with_mixture(**mixture) for mixture in NON_NUMERIC_MIXTURES.values()),
     ],
     ids=[
         "string-seed",
@@ -520,6 +538,9 @@ def with_cell(n_per_group=200, **cell):
         "bool-n-per-group",
         "fractional-cell-replications",
         "forest-below-min-leaf",
+        "huge-n-per-group",
+        "string-and-bool-beta",
+        *NON_NUMERIC_MIXTURES,
     ],
 )
 def test_cli_refuses_malformed_values_at_parse_time(tmp_path, capsys, obj):
@@ -529,24 +550,15 @@ def test_cli_refuses_malformed_values_at_parse_time(tmp_path, capsys, obj):
     assert captured.out == ""
 
 
-def with_mixture(n_per_group=200, **mixture):
-    obj = with_cell(n_per_group)
-    obj["cells"][0]["dgp"]["mixture"] = {**MIXTURE_JSON, **mixture}
-    return obj
-
-
-def with_covariance(covariance):
-    return with_mixture(groups=[{"mean": [0, 0], "covariance": covariance}] * 2)
-
-
 @pytest.mark.parametrize(
     "obj,cause",
     [
         (with_covariance([[0.0, 1e-6], [1e-6, 1.0]]), "degenerate X1"),
         (with_covariance([[-5e-11, 0.0], [0.0, 1.0]]), "Var(X1) is negative"),
         (with_mixture(500, weight_protected=0.0004), "group sizes 1000 and 0"),
+        (with_mixture(500, weight_protected=0.001), "group sizes 999 and 1"),
     ],
-    ids=["degenerate-x1", "negative-variance", "empty-group"],
+    ids=["degenerate-x1", "negative-variance", "empty-group", "one-row-group"],
 )
 def test_cli_refuses_configs_whose_replications_all_fail(tmp_path, capsys, obj, cause):
     # Each would parse and then fail in every replication, so parsing refuses it.
@@ -602,8 +614,9 @@ def test_cli_analytic_refuses_unknown_keys(tmp_path, capsys, level):
     [
         {"groups": [{"mean": ["a", 1.0], "covariance": [[1, 0], [0, 1]]}] * 2},
         {**MIXTURE_JSON, "weight_protected": "half"},
+        *NON_NUMERIC_MIXTURES.values(),
     ],
-    ids=["string-mean", "string-weight"],
+    ids=["string-mean", "string-weight", *NON_NUMERIC_MIXTURES],
 )
 def test_cli_analytic_refuses_non_numeric_mixtures(tmp_path, capsys, mixture):
     mix = tmp_path / "mixture.json"
@@ -730,7 +743,7 @@ def fuzzed_configs(draw):
     """A small valid two-cell config with one value, at any level, replaced."""
     # n_per_group and replications come from small ranges, and no drawn value
     # is a large positive integer: a large count allocates real memory or
-    # runs for minutes (2**70 rows is not refused before numpy sees it).
+    # runs for minutes.
     obj = config_json(replications=draw(st.integers(1, 3)))
     obj["cells"][0]["dgp"]["n_per_group"] = draw(st.integers(5, 60))
     probit = {**obj["cells"][0]["dgp"], "family": "probit", "beta": [0.0, 1.0, 1.0]}
