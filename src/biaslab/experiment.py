@@ -49,6 +49,7 @@ from .audit import ErrorReport, compare, error_report, mean_se
 from .dgp import (
     CLASSIFICATION_FAMILIES,
     DgpSpec,
+    _SEED_MASK,
     _count,
     derive_seed,
     generate,
@@ -131,7 +132,8 @@ class ExperimentConfig:
             raise ConfigError("config needs at least one cell")
         try:
             _count("replications", self.replications, 1)
-            _count("seed", self.base_seed)
+            # derive_seed reads a seed modulo 2**64: a seed outside would alias one inside
+            _count("seed", self.base_seed, 0, _SEED_MASK)
             z = _real("z_threshold", self.z_threshold)
         except ValueError as err:
             raise ConfigError(str(err)) from err

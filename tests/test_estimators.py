@@ -440,8 +440,14 @@ def reference_tree(xmat, y, max_depth, min_leaf):
     return [np.array(column) for column in zip(*nodes)]
 
 
-@pytest.mark.parametrize("seed,x_kind", enumerate(["continuous", "integer", "rounded"]))
+@pytest.mark.parametrize(
+    "seed,x_kind", enumerate(["continuous", "integer", "rounded", "duplicated"])
+)
 def test_grower_matches_the_per_feature_reference(seed, x_kind):
+    # "continuous" has no ties and "duplicated" ties only identical rows, as a
+    # bootstrap sample does: the grower partitions its presorted lists. With
+    # two features the ties of "integer" and "rounded" join distinct rows, so
+    # those cases sort per node.
     rng = np.random.default_rng(seed)
     for case in range(20):
         n = int(rng.integers(10, 120))
@@ -453,6 +459,9 @@ def test_grower_matches_the_per_feature_reference(seed, x_kind):
         y = xmat.sum(axis=1) + rng.standard_normal(n)
         if case % 4 >= 2:
             y = np.round(y)
+        if x_kind == "duplicated":
+            boot = rng.integers(0, n, size=n)
+            xmat, y = xmat[boot], y[boot]
         min_leaf, max_depth = int(rng.integers(1, 8)), int(rng.integers(1, 9))
         tree = _grow_tree(xmat, y, max_depth, min_leaf)
         want = reference_tree(xmat, y, max_depth, min_leaf)

@@ -516,6 +516,8 @@ NON_NUMERIC_MIXTURES = {
     "obj",
     [
         config_json(seed="abc"),
+        config_json(seed=2**64),
+        config_json(seed=-1),
         config_json(replications=2.5),
         config_json(replications=True),
         config_json(z_threshold="x"),
@@ -530,6 +532,8 @@ NON_NUMERIC_MIXTURES = {
     ],
     ids=[
         "string-seed",
+        "seed-past-64-bits",
+        "negative-seed",
         "fractional-replications",
         "bool-replications",
         "string-z",
@@ -548,6 +552,25 @@ def test_cli_refuses_malformed_values_at_parse_time(tmp_path, capsys, obj):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", [2**64 + 3, -(2**64) + 3, -1])
+def test_cli_refuses_seed_flags_outside_64_bits(tmp_path, capsys, seed):
+    # derive_seed reads seeds modulo 2**64, so each of these would rerun seed 3
+    # (or 2**64 - 1) under another name.
+    config = write_config(tmp_path, config_json())
+    for argv in (["run", "--config", config], ["table1"]):
+        assert main(argv + ["--seed", str(seed)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: seed must lie in [0, 18446744073709551615]")
+        assert captured.out == ""
+
+
+def test_cli_runs_the_extreme_64_bit_seeds(tmp_path, capsys):
+    config = write_config(tmp_path, config_json())
+    for seed in (0, 2**64 - 1):
+        assert main(["run", "--config", config, "--seed", str(seed)]) in (0, 1)  # not refused
+        assert capsys.readouterr().out.startswith(CSV_HEADER)
 
 
 @pytest.mark.parametrize(
