@@ -4,11 +4,9 @@ The maximum-likelihood fits use damped Newton with analytic gradients and
 Hessians (start at zero, step-halving line search, hard iteration cap); the
 forest is bagged CART with a variance-reduction split criterion, its trees
 grown and scored on a forked process pool. A tree sorts each feature once,
-at its root, and stably partitions the sorted rows down to the children;
-a tree whose sample ties distinct rows in a feature sorts at every node
-instead, which gives the same tree. scipy supplies only scalar
-numerics primitives (normal CDF, log CDF, logistic), never the fitting
-itself.
+at its root, and stably partitions the sorted rows down to the children.
+scipy supplies only scalar numerics primitives (normal CDF, log CDF,
+logistic), never the fitting itself.
 """
 
 from __future__ import annotations
@@ -250,37 +248,27 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -
     between, or the lower one where the midpoint rounds up to the upper,
     so the applied split is always the scored one.
 
-    Each feature is sorted once, at the root. A split passes each child
-    the part of every sorted list on its side, in the parent's order (a
-    stable partition by one reused "goes left" array). That is the
-    child's own stable sort, by value and then by position in the node's
-    rows (its parent's, sorted by the split feature), unless a tie in one
-    feature joins rows that differ in another. A tree whose sample has
-    such a tie, checked once at the root, sorts at each node instead;
-    ties between identical rows, such as bootstrap duplicates, do not.
+    Each feature is sorted once, at the root, by value and then by
+    position in the sample. A split passes each child its side of every
+    sorted list, in the parent's order (a stable partition by one reused
+    "goes left" array), so every node's lists keep that order.
     """
     xt = np.ascontiguousarray(xmat.T)  # feature-major: one sorted list per feature
     n_features, n = xt.shape
     order = np.argsort(xt, axis=1, kind="stable")
     xs = np.take_along_axis(xt, order, axis=1)
-    g, j = np.nonzero(~(xs[:, :-1] < xs[:, 1:]))  # neighbours tied in feature g
-    presorted = bool(np.all(xt[:, order[g, j]] == xt[:, order[g, j + 1]]))
     goes_left = np.zeros(n, dtype=bool)
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
-    # node, rows, their y; the parent's sorted lists and this node's mask of them
-    stack = [(0, np.arange(n), y, order, xs, None, 0)]
+    # node, its y; the parent's sorted lists and this node's mask of them
+    stack = [(0, y, order, xs, None, 0)]
     while stack:
-        node, rows, yr, order, xs, keep, depth = stack.pop()
-        m = rows.shape[0]
+        node, yr, order, xs, keep, depth = stack.pop()
+        m = yr.shape[0]
         nodes[node][4] = float(np.add.reduce(yr) / m)  # np.mean's arithmetic
         if depth >= max_depth or m < 2 * min_leaf or yr.min() == yr.max():
             continue
         if keep is not None:
             order, xs = (a[keep].reshape(n_features, m) for a in (order, xs))
-        elif order is None:
-            xr = xt[:, rows]
-            local = np.argsort(xr, axis=1, kind="stable")
-            order, xs = rows[local], np.take_along_axis(xr, local, axis=1)
         ys = y[order]
         csum = np.cumsum(ys, axis=1)
         csum2 = np.cumsum(ys * ys, axis=1)
@@ -298,18 +286,14 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -
         thr = 0.5 * (below + above)
         if not thr < above:  # adjacent floats: the midpoint rounded up
             thr = below
-        left_rows, right_rows = order[f, :i], order[f, i:]
-        left_lists = right_lists = (None, None, None)
-        if presorted and depth + 1 < max_depth:
-            goes_left[left_rows] = True
-            keep = goes_left[order]
-            goes_left[left_rows] = False
-            left_lists, right_lists = (order, xs, keep), (order, xs, ~keep)
+        goes_left[order[f, :i]] = True
+        keep = goes_left[order]
+        goes_left[order[f, :i]] = False
         lid, rid = len(nodes), len(nodes) + 1
         nodes[node][:4] = f, thr, lid, rid
         nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
-        stack.append((lid, left_rows, ys[f, :i], *left_lists, depth + 1))
-        stack.append((rid, right_rows, ys[f, i:], *right_lists, depth + 1))
+        stack.append((lid, ys[f, :i], order, xs, keep, depth + 1))
+        stack.append((rid, ys[f, i:], order, xs, ~keep, depth + 1))
 
     feature, threshold, left, right, value = zip(*nodes)
     return Tree(

@@ -398,7 +398,8 @@ def reference_tree(xmat, y, max_depth, min_leaf):
     Splits minimise the children's summed squared deviations; ties go to the
     first feature, then the smallest left child. The threshold is the
     midpoint of the neighbouring values, or the lower one where the midpoint
-    rounds up, and the rows are partitioned by comparing with it.
+    rounds up, and the rows are partitioned by comparing with it. Each
+    feature's rows at a node are sorted by value, then by row index.
     """
     nodes = [[-1, 0.0, -1, -1, 0.0]]
     stack = [(0, np.arange(y.shape[0]), 0)]
@@ -412,7 +413,7 @@ def reference_tree(xmat, y, max_depth, min_leaf):
         best = None
         for f in range(xmat.shape[1]):
             xf = xmat[rows, f]
-            order = np.argsort(xf, kind="stable")
+            order = np.lexsort((rows, xf))
             xs, ys = xf[order], yr[order]
             csum, csum2 = np.cumsum(ys), np.cumsum(ys * ys)
             sizes = np.arange(min_leaf, m - min_leaf + 1)
@@ -441,13 +442,14 @@ def reference_tree(xmat, y, max_depth, min_leaf):
 
 
 @pytest.mark.parametrize(
-    "seed,x_kind", enumerate(["continuous", "integer", "rounded", "duplicated"])
+    "seed,x_kind", enumerate(["continuous", "integer", "rounded", "duplicated", "mixed"])
 )
 def test_grower_matches_the_per_feature_reference(seed, x_kind):
     # "continuous" has no ties and "duplicated" ties only identical rows, as a
-    # bootstrap sample does: the grower partitions its presorted lists. With
-    # two features the ties of "integer" and "rounded" join distinct rows, so
-    # those cases sort per node.
+    # bootstrap sample does. With two features the ties of "integer",
+    # "rounded" and "mixed" (integer feature 0, continuous feature 1) join
+    # rows that differ in the other feature, so they pin the tie order: by
+    # value, then by position in the sample, at every node.
     rng = np.random.default_rng(seed)
     for case in range(20):
         n = int(rng.integers(10, 120))
@@ -456,6 +458,8 @@ def test_grower_matches_the_per_feature_reference(seed, x_kind):
             xmat = np.round(xmat)
         elif x_kind == "rounded":
             xmat = np.round(xmat, 1)
+        elif x_kind == "mixed":
+            xmat[:, 0] = np.round(xmat[:, 0])
         y = xmat.sum(axis=1) + rng.standard_normal(n)
         if case % 4 >= 2:
             y = np.round(y)
