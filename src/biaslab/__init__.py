@@ -49,7 +49,6 @@ from .experiment import (
     ExperimentCell,
     ExperimentConfig,
     ResultRow,
-    emit,
     load_config,
     render,
     run,
@@ -88,7 +87,6 @@ __all__ = [
     "bias_vanishes_condition",
     "compare",
     "derive_seed",
-    "emit",
     "error_report",
     "fit_forest",
     "fit_logit",

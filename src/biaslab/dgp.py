@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit, ndtr
 
+from .exceptions import ConfigError
 from .moments import MixtureSpec, _reals
 
 FAMILIES = ("linear", "polynomial", "probit", "logit")
@@ -40,11 +41,11 @@ MAX_N_PER_GROUP = 10_000_000
 
 
 def _count(name: str, value, minimum=-math.inf, maximum=math.inf) -> int:
-    """value as an int; a bool, a fraction or a value out of range is a ValueError."""
+    """value as an int; a bool, a fraction or a value out of range is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
+        raise ConfigError("%s must be an integer, got %r" % (name, value))
     if not minimum <= value <= maximum:
-        raise ValueError("%s must lie in [%s, %s], got %d" % (name, minimum, maximum, value))
+        raise ConfigError("%s must lie in [%s, %s], got %d" % (name, minimum, maximum, value))
     return int(value)
 
 
@@ -76,7 +77,7 @@ class DgpSpec:
         Half the row count, at most ``MAX_N_PER_GROUP``: ``2 * n_per_group``
         rows are drawn and split between the groups by the mixture's
         ``weight_protected``; a split that leaves either group fewer than two
-        rows, which a standard error needs, raises ValueError.
+        rows, which a standard error needs, raises ConfigError.
     """
 
     family: str
@@ -86,20 +87,21 @@ class DgpSpec:
 
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError("unknown family %r, expected one of %r" % (self.family, FAMILIES))
+            raise ConfigError("unknown family %r, expected one of %r" % (self.family, FAMILIES))
         beta = _reals("beta", self.beta)
         object.__setattr__(self, "beta", beta)
         want = _BETA_LENGTH[self.family]
         if len(beta) != want:
-            raise ValueError(
+            raise ConfigError(
                 "family %r needs %d coefficients, got %d" % (self.family, want, len(beta))
             )
         if not all(math.isfinite(b) for b in beta):
-            raise ValueError("beta entries must be finite")
+            raise ConfigError("beta entries must be finite")
         n = _count("n_per_group", self.n_per_group, 1, MAX_N_PER_GROUP)
         object.__setattr__(self, "n_per_group", n)
         if min(self.group_sizes) < 2:
-            raise ValueError("a group has under two rows: group sizes %d and %d" % self.group_sizes)
+            sizes = self.group_sizes
+            raise ConfigError("a group has under two rows: group sizes %d and %d" % sizes)
 
     @property
     def group_sizes(self) -> tuple[int, int]:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
 from .dgp import Dataset, derive_seed
-from .exceptions import ConvergenceError, RankDeficiencyError, SeparationError
+from .exceptions import ConfigError, ConvergenceError, RankDeficiencyError, SeparationError
 
 FEATURE_SETS = ("both", "x1_only")
 
@@ -43,7 +43,7 @@ MIN_LEAF = 5
 
 def _check_features(features: str) -> None:
     if features not in FEATURE_SETS:
-        raise ValueError("features must be one of %r, got %r" % (FEATURE_SETS, features))
+        raise ConfigError("features must be one of %r, got %r" % (FEATURE_SETS, features))
 
 
 def _design(x1: np.ndarray, x2: np.ndarray | None, features: str) -> np.ndarray:

@@ -5,10 +5,6 @@ class BiaslabError(Exception):
     """Base class for every error this library raises on purpose."""
 
 
-class InvalidCovarianceError(BiaslabError):
-    """Covariance matrix is not symmetric positive semi-definite."""
-
-
 class DegenerateVarianceError(BiaslabError):
     """A closed form needs Var(X1) > 0 and the supplied moments have none."""
 
@@ -36,5 +32,9 @@ class EmptyGroupError(BiaslabError):
     """An audit group contains no rows."""
 
 
-class ConfigError(BiaslabError):
-    """Experiment configuration is malformed or unsupported."""
+class ConfigError(BiaslabError, ValueError):
+    """Input is malformed or unsupported; the message names the field. Also a ValueError."""
+
+
+class InvalidCovarianceError(ConfigError):
+    """Covariance matrix is not symmetric positive semi-definite."""

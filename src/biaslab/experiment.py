@@ -1,4 +1,4 @@
-"""Config-driven experiment grid: generate, fit, audit, aggregate, emit.
+"""Config-driven experiment grid: generate, fit, audit, aggregate, render.
 
 A run maps (cell, replication) pairs to audits. Replication r of cell c
 uses the derived seed base XOR hash(c, r), so every replication owns an
@@ -26,17 +26,17 @@ error exactly 0, so the emitted b_pop and se_pop are rounding, no z-score.
 
 A config with an unknown or missing key, a non-number where a number
 goes, an invalid covariance, a group with under two rows or a cell whose
-closed form raises (Var(X1) too small) is refused at parse time. Cells
-whose fit raises (separation, rank deficiency, non-convergence) or whose
-audit has a non-finite statistic become rows with verdict "error" and a
-message naming the replication and its seed; a run always reports fully.
+closed form raises (Var(X1) too small) is refused at parse time, as a
+ConfigError from the rule that finds it (a closed form raises its own).
+Cells whose fit raises (separation, rank deficiency, non-convergence) or
+whose audit has a non-finite statistic become "error" rows naming the
+replication and its seed; a run always reports fully.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import MISSING, dataclass, field, fields
 
 from .analytic_linear import (
@@ -57,19 +57,15 @@ from .dgp import (
 from .estimators import (
     FEATURE_SETS,
     MIN_LEAF,
+    _check_features,
     fit_forest,
     fit_logit,
     fit_ols,
     fit_probit,
     predict,
 )
-from .exceptions import (
-    AssumptionViolationError,
-    BiaslabError,
-    ConfigError,
-    InvalidCovarianceError,
-)
-from .moments import GroupGaussianSpec, MixtureSpec, _real
+from .exceptions import AssumptionViolationError, BiaslabError, ConfigError
+from .moments import GroupGaussianSpec, MixtureSpec, _list, _real
 
 MODELS = ("ols", "probit", "logit", "forest")
 DEFAULT_SEED = 20240914
@@ -105,8 +101,7 @@ class ExperimentCell:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ConfigError("unknown model %r, expected one of %r" % (self.model, MODELS))
-        if self.features not in FEATURE_SETS:
-            raise ConfigError("features must be one of %r, got %r" % (FEATURE_SETS, self.features))
+        _check_features(self.features)
         if self.model in ("probit", "logit") and self.dgp.family not in CLASSIFICATION_FAMILIES:
             raise ConfigError(
                 "%s model needs binary outcomes; DGP family %r has none"
@@ -127,16 +122,13 @@ class ExperimentConfig:
     z_threshold: float = 4.0
 
     def __post_init__(self):
-        object.__setattr__(self, "cells", tuple(self.cells))
+        object.__setattr__(self, "cells", _list("cells", self.cells))
         if not self.cells:
             raise ConfigError("config needs at least one cell")
-        try:
-            _count("replications", self.replications, 1)
-            # derive_seed reads a seed modulo 2**64: a seed outside would alias one inside
-            _count("seed", self.base_seed, 0, _SEED_MASK)
-            z = _real("z_threshold", self.z_threshold)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        _count("replications", self.replications, 1)
+        # derive_seed reads a seed modulo 2**64: a seed outside would alias one inside
+        _count("seed", self.base_seed, 0, _SEED_MASK)
+        z = _real("z_threshold", self.z_threshold)
         if not 0 < z < math.inf:
             raise ConfigError("z_threshold must be a finite positive number, got %r" % (z,))
 
@@ -170,7 +162,9 @@ class ResultRow:
     reports: tuple[ErrorReport, ...] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in _ROW_FIELDS}
+        """The serialized fields; a non-finite statistic is None, as NaN is not JSON."""
+        values = ((name, getattr(self, name)) for name in _ROW_FIELDS)
+        return {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in values}
 
 
 _ROW_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "reports")
@@ -361,21 +355,8 @@ def render(rows: list[ResultRow], fmt: str) -> str:
             )
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2) + "\n"
+        return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2, allow_nan=False) + "\n"
     raise ConfigError("unknown output format %r" % (fmt,))
-
-
-def emit(rows: list[ResultRow], fmt: str, destination=None) -> None:
-    """Write rendered rows to a path, or to stdout when destination is None."""
-    text = render(rows, fmt)
-    if destination is None:
-        sys.stdout.write(text)
-        return
-    try:
-        with open(destination, "w") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise ConfigError("cannot write %r: %s" % (destination, err)) from err
 
 
 def _fields_from(cls, level: str, obj, **json_keys) -> dict:
@@ -400,26 +381,22 @@ def _fields_from(cls, level: str, obj, **json_keys) -> dict:
 def parse_mixture(obj: dict) -> MixtureSpec:
     """Build a MixtureSpec from its JSON form; unknown and missing keys are refused."""
     mixture = _fields_from(MixtureSpec, "mixture", obj)
-    try:
-        groups = [_fields_from(GroupGaussianSpec, "group", g) for g in mixture.pop("groups")]
-        return MixtureSpec([GroupGaussianSpec(**g) for g in groups], **mixture)
-    except (TypeError, ValueError, InvalidCovarianceError) as err:
-        raise ConfigError("malformed mixture spec: %s" % err) from err
+    groups = [
+        _fields_from(GroupGaussianSpec, "group", g) for g in _list("groups", mixture.pop("groups"))
+    ]
+    return MixtureSpec([GroupGaussianSpec(**g) for g in groups], **mixture)
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from its JSON form; unknown and missing keys are refused."""
     config = _fields_from(ExperimentConfig, "top-level", obj, base_seed="seed")
-    try:
-        cells = []
-        for cell_obj in config.pop("cells"):
-            cell = _fields_from(ExperimentCell, "cell", cell_obj)
-            dgp = _fields_from(DgpSpec, "dgp", cell.pop("dgp"))
-            dgp["mixture"] = parse_mixture(dgp["mixture"])
-            cells.append(ExperimentCell(DgpSpec(**dgp), **cell))
-        return ExperimentConfig(cells, **config)
-    except (TypeError, ValueError) as err:
-        raise ConfigError("malformed config: %s" % err) from err
+    cells = []
+    for cell_obj in _list("cells", config.pop("cells")):
+        cell = _fields_from(ExperimentCell, "cell", cell_obj)
+        dgp = _fields_from(DgpSpec, "dgp", cell.pop("dgp"))
+        dgp["mixture"] = parse_mixture(dgp["mixture"])
+        cells.append(ExperimentCell(DgpSpec(**dgp), **cell))
+    return ExperimentConfig(cells, **config)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -14,21 +14,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import InvalidCovarianceError
+from .exceptions import ConfigError, InvalidCovarianceError
 
 
 def _real(name: str, value) -> float:
-    """value as a float; anything but a real number (a bool, a string) is a ValueError."""
+    """value as a float; anything but a real number (a bool, a string) is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError("%s must be a real number, got %r" % (name, value))
+        raise ConfigError("%s must be a real number, got %r" % (name, value))
     return float(value)
 
 
-def _reals(name: str, values) -> tuple[float, ...]:
-    """A list or tuple of reals, each by the rule of :func:`_real`."""
+def _list(name: str, values) -> tuple:
+    """values as a tuple; anything but a list or tuple (a string, an object) is a ConfigError."""
     if not isinstance(values, (list, tuple)):
-        raise ValueError("%s must be a list of real numbers, got %r" % (name, values))
-    return tuple(_real(name, v) for v in values)
+        raise ConfigError("%s must be a list, got %r" % (name, values))
+    return tuple(values)
+
+
+def _reals(name: str, values) -> tuple[float, ...]:
+    """A list of reals, by the rules of :func:`_list` and :func:`_real`."""
+    return tuple(_real(name, v) for v in _list(name, values))
 
 
 @dataclass(frozen=True)
@@ -49,7 +54,7 @@ class GroupGaussianSpec:
 
     def __post_init__(self):
         mean = _reals("mean", self.mean)
-        cov = tuple(_reals("covariance row", row) for row in self.covariance)
+        cov = tuple(_reals("covariance row", row) for row in _list("covariance", self.covariance))
         if len(mean) != 2 or len(cov) != 2 or any(len(row) != 2 for row in cov):
             raise InvalidCovarianceError("mean must be a 2-vector and covariance 2x2")
         object.__setattr__(self, "mean", mean)
@@ -101,7 +106,7 @@ class MixtureSpec:
     weight_protected: float = 0.5
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "groups", _list("groups", self.groups))
         weight = _real("weight_protected", self.weight_protected)
         object.__setattr__(self, "weight_protected", weight)
         if len(self.groups) != 2:

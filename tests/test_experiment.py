@@ -17,12 +17,13 @@ from hypothesis import given, settings
 from scipy.special import ndtr
 
 import biaslab
-from biaslab import experiment
+from biaslab import cli, experiment
 from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
 from biaslab.audit import ErrorReport, compare
 from biaslab.cli import main
-from biaslab.dgp import DgpSpec, derive_seed
-from biaslab.exceptions import BiaslabError, ConfigError
+from biaslab.dgp import DgpSpec, _count, derive_seed, generate
+from biaslab.estimators import fit_ols
+from biaslab.exceptions import BiaslabError, ConfigError, InvalidCovarianceError
 from biaslab.experiment import (
     CSV_HEADER,
     ExperimentCell,
@@ -41,6 +42,7 @@ from biaslab.experiment import (
     run_cell,
     table1_config,
 )
+from biaslab.moments import GroupGaussianSpec, MixtureSpec, _real, _reals
 
 from conftest import independent_mixture, make_mixture
 
@@ -102,6 +104,40 @@ def test_cell_validation():
         small_cell(family="linear", model="probit")  # needs binary outcomes
     with pytest.raises(ConfigError):
         ExperimentConfig(cells=())
+
+
+def test_config_error_is_the_one_input_exception():
+    # Library callers that catch ValueError keep working.
+    assert issubclass(ConfigError, BiaslabError) and issubclass(ConfigError, ValueError)
+    assert issubclass(InvalidCovarianceError, ConfigError)
+
+
+@pytest.mark.parametrize(
+    "refuse",
+    [
+        lambda: _count("replications", 1.5),
+        lambda: _count("seed", -1, 0),
+        lambda: _real("z_threshold", "4"),
+        lambda: _reals("beta", "12"),
+        lambda: DgpSpec("quadratic", TABLE_BETA, TABLE_MIXTURE, 10),
+        lambda: DgpSpec("linear", TABLE_BETA[:2], TABLE_MIXTURE, 10),
+        lambda: DgpSpec("linear", TABLE_BETA, TABLE_MIXTURE, True),
+        lambda: ExperimentConfig(cells=5),
+        lambda: ExperimentConfig(cells=(small_cell(),), replications=0),
+        lambda: ExperimentConfig(cells=(small_cell(),), z_threshold=-1.0),
+        lambda: GroupGaussianSpec(mean=(0.0, 0.0), covariance=((1.0, 2.0), (2.0, 1.0))),
+        lambda: MixtureSpec(groups=5),
+        lambda: fit_ols(generate(small_cell().dgp, 1), "x2_only"),
+    ],
+    ids=[
+        "count-fraction", "count-range", "real-string", "reals-string", "dgp-family",
+        "dgp-beta-length", "dgp-bool-n", "config-cells", "config-replications", "config-z",
+        "covariance", "mixture-groups", "fit-features",
+    ],
+)
+def test_each_input_rule_raises_config_error(refuse):
+    with pytest.raises(ConfigError):
+        refuse()
 
 
 # --- analytic attachment ---
@@ -354,6 +390,22 @@ def test_json_round_trip():
     assert payload["rows"][0]["b_g0"] == rows[0].b_g0  # full precision survives
 
 
+def test_json_writes_non_finite_statistics_as_null():
+    # beta1 = 40 separates the labels, so the cell is an error row with NaN
+    # statistics; bare NaN is not JSON, and a strict parser must read null.
+    spec = DgpSpec(family="probit", beta=(0.0, 40.0, 0.0), mixture=TABLE_MIXTURE, n_per_group=50)
+    cell = ExperimentCell(dgp=spec, model="probit", features="both")
+    rows = run(small_config([cell], replications=1))
+    assert rows[0].verdict == "error"
+
+    def refuse(token):
+        raise AssertionError("%s is not JSON" % token)
+
+    row = json.loads(render(rows, "json"), parse_constant=refuse)["rows"][0]
+    assert [row[name] for name in ("b_pop", "b_g0", "tau", "se_tau")] == [None] * 4
+    assert row["error"] == rows[0].error
+
+
 def test_unknown_format_rejected():
     rows = run(small_config([small_cell(n=300)]))
     with pytest.raises(ConfigError):
@@ -566,6 +618,33 @@ def test_cli_refuses_seed_flags_outside_64_bits(tmp_path, capsys, seed):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "value", [None, 5, "ab", {"a": 1}], ids=["null", "number", "string", "object"]
+)
+@pytest.mark.parametrize(
+    "name,level", [("cells", "top-level"), ("groups", "mixture"), ("covariance", "group")]
+)
+def test_cli_refuses_a_non_list_where_a_list_goes(tmp_path, capsys, name, level, value):
+    # A string or an object is not iterated: "ab" is not two cells.
+    obj = json.loads(json.dumps(config_json()))
+    at_level(obj, level)[name] = value
+    assert main(["run", "--config", write_config(tmp_path, obj)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: %s must be a list, got %r\n" % (name, value)
+    assert captured.out == ""
+
+
+def test_cli_checks_out_before_the_grid_runs(tmp_path, capsys, monkeypatch):
+    def no_run(config):
+        raise AssertionError("the grid ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    out = str(tmp_path / "missing" / "rows.csv")
+    for argv in (["run", "--config", write_config(tmp_path, config_json())], ["table1"]):
+        assert main(argv + ["--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot write %r" % out)
+
+
 def test_cli_runs_the_extreme_64_bit_seeds(tmp_path, capsys):
     config = write_config(tmp_path, config_json())
     for seed in (0, 2**64 - 1):
@@ -633,20 +712,20 @@ def test_cli_analytic_refuses_unknown_keys(tmp_path, capsys, level):
 
 
 @pytest.mark.parametrize(
-    "mixture",
+    "mixture,field",
     [
-        {"groups": [{"mean": ["a", 1.0], "covariance": [[1, 0], [0, 1]]}] * 2},
-        {**MIXTURE_JSON, "weight_protected": "half"},
-        *NON_NUMERIC_MIXTURES.values(),
+        ({"groups": [{"mean": ["a", 1.0], "covariance": [[1, 0], [0, 1]]}] * 2}, "mean"),
+        ({**MIXTURE_JSON, "weight_protected": "half"}, "weight_protected"),
+        *zip(NON_NUMERIC_MIXTURES.values(), ["weight_protected", "mean", "mean"]),
     ],
     ids=["string-mean", "string-weight", *NON_NUMERIC_MIXTURES],
 )
-def test_cli_analytic_refuses_non_numeric_mixtures(tmp_path, capsys, mixture):
+def test_cli_analytic_refuses_non_numeric_mixtures(tmp_path, capsys, mixture, field):
     mix = tmp_path / "mixture.json"
     mix.write_text(json.dumps(mixture))
     code = main(["analytic", "--family", "linear", "--beta=-2,1,1", "--mixture", str(mix)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: malformed mixture spec")
+    assert capsys.readouterr().err.startswith("error: %s must be " % field)
 
 
 def test_cli_analytic_linear(tmp_path, capsys):
