@@ -44,14 +44,20 @@ class ShortModelCoefficients:
 class GroupErrorPrediction:
     """Mean prediction errors by group and the bias between them.
 
-    ``tau = b_group1 - b_group0`` always; ``b_pop`` is the group-weighted
-    combination. Shared by the linear and probit closed forms.
+    ``tau = b_group1 - b_group0`` always. The closed forms build theirs with
+    :meth:`of_groups`; ``audit.ErrorReport`` adds standard errors and row counts.
     """
 
     b_pop: float
     b_group0: float
     b_group1: float
     tau: float
+
+    @classmethod
+    def of_groups(cls, b0: float, b1: float, spec: MixtureSpec) -> GroupErrorPrediction:
+        """The record of group errors b0, b1 with b_pop weighted by spec.weights."""
+        p0, p1 = spec.weights
+        return cls(b_pop=p0 * b0 + p1 * b1, b_group0=b0, b_group1=b1, tau=b1 - b0)
 
 
 def omitted_coefficients(
@@ -104,12 +110,7 @@ def omitted_group_errors(
         g = group_moments(spec, a)
         return shift + slope * g.e_x1 - beta.beta2 * g.e_x2
 
-    b0 = one_group(0)
-    b1 = one_group(1)
-    p0, p1 = spec.weights
-    return GroupErrorPrediction(
-        b_pop=p0 * b0 + p1 * b1, b_group0=b0, b_group1=b1, tau=b1 - b0
-    )
+    return GroupErrorPrediction.of_groups(one_group(0), one_group(1), spec)
 
 
 def bias_vanishes_condition(beta: LinearDgpCoefficients, spec: MixtureSpec) -> bool:

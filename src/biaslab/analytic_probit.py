@@ -154,9 +154,4 @@ def omitted_group_errors_probit(
         true = float(ndtr((base + beta.beta2 * g.e_x2) / d))
         return short - true
 
-    b0 = one_group(0)
-    b1 = one_group(1)
-    p0, p1 = spec.weights
-    return GroupErrorPrediction(
-        b_pop=p0 * b0 + p1 * b1, b_group0=b0, b_group1=b1, tau=b1 - b0
-    )
+    return GroupErrorPrediction.of_groups(one_group(0), one_group(1), spec)

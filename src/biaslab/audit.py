@@ -20,17 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic_linear import GroupErrorPrediction
-from .exceptions import EmptyGroupError
+from .exceptions import ConfigError, EmptyGroupError
 
 
 @dataclass(frozen=True)
-class ErrorReport:
-    """Mean error by population and group, with Monte Carlo standard errors."""
+class ErrorReport(GroupErrorPrediction):
+    """Mean error by population and group, with Monte Carlo standard errors and row counts."""
 
-    b_pop: float
-    b_group0: float
-    b_group1: float
-    tau: float
     se_pop: float
     se_group0: float
     se_group1: float
@@ -38,6 +34,10 @@ class ErrorReport:
     n_pop: int
     n_group0: int
     n_group1: int
+
+
+# Each audited statistic and the ErrorReport field holding its standard error.
+_SE_OF = {"b_pop": "se_pop", "b_group0": "se_group0", "b_group1": "se_group1", "tau": "se_tau"}
 
 
 def mean_se(values) -> tuple[float, float]:
@@ -72,18 +72,18 @@ def _fsum(terms) -> float:
 def error_report(predictions, truths, groups) -> ErrorReport:
     """Audit predictions against truths, split by the 0/1 group labels.
 
-    Raises ValueError if a label is not 0 or 1, and EmptyGroupError if
-    either group has no rows.
+    Raises ConfigError if the lengths differ or a label is not 0 or 1, and
+    EmptyGroupError if either group has no rows.
     """
     predictions = np.asarray(predictions, dtype=float)
     truths = np.asarray(truths, dtype=float)
     groups = np.asarray(groups)
     if not predictions.shape == truths.shape == groups.shape:
-        raise ValueError("predictions, truths and groups must have equal length")
+        raise ConfigError("predictions, truths and groups must have equal length")
     in1 = groups == 1
     stray = ~(in1 | (groups == 0))
     if stray.any():
-        raise ValueError("group labels must be 0 or 1, got %r" % (groups[stray][0],))
+        raise ConfigError("group labels must be 0 or 1, got %r" % (groups[stray][0],))
     e = predictions - truths
     e0, e1 = e[~in1], e[in1]
     if e0.shape[0] == 0 or e1.shape[0] == 0:
@@ -121,16 +121,10 @@ def compare(
     analytic value (zero by default). A zero denom gives z = 0 where the
     two values agree exactly and inf otherwise.
     """
-    pairs = {
-        "b_pop": (empirical.b_pop, analytic.b_pop, empirical.se_pop),
-        "b_group0": (empirical.b_group0, analytic.b_group0, empirical.se_group0),
-        "b_group1": (empirical.b_group1, analytic.b_group1, empirical.se_group1),
-        "tau": (empirical.tau, analytic.tau, empirical.se_tau),
-    }
     z_scores = {}
-    for name, (emp, ana, se) in pairs.items():
-        denom = math.hypot(se, extra_tolerance)
-        diff = emp - ana
+    for name, se in _SE_OF.items():
+        denom = math.hypot(getattr(empirical, se), extra_tolerance)
+        diff = getattr(empirical, name) - getattr(analytic, name)
         if denom == 0.0:
             z_scores[name] = 0.0 if diff == 0.0 else math.inf
         else:

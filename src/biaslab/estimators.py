@@ -52,7 +52,7 @@ def _design(x1: np.ndarray, x2: np.ndarray | None, features: str) -> np.ndarray:
     if features == "x1_only":
         return np.column_stack([np.ones_like(x1), x1])
     if x2 is None:
-        raise ValueError("features='both' requires x2")
+        raise ConfigError("features='both' requires x2")
     return np.column_stack([np.ones_like(x1), x1, np.asarray(x2, dtype=float)])
 
 
@@ -217,7 +217,7 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
 
 def _fit_mle(data: Dataset, features: str, link, family: str) -> FittedModel:
     if data.z is None:
-        raise ValueError("classification fit requires a dataset with z labels")
+        raise ConfigError("classification fit requires a dataset with z labels")
     x = _design(data.x1, data.x2, features)
     z = np.asarray(data.z, dtype=float)
     coef, diagnostics = _newton_mle(x, z, link)
@@ -352,7 +352,7 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     y = np.asarray(data.y, dtype=float)
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
-        raise ValueError("need at least 2*MIN_LEAF rows, got %d" % n)
+        raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
     trees = tuple(_pool_map(_fit_tree, range(N_TREES), (x, y, seed)))
     return FittedModel(family="forest", features=features, forest=trees)
 
@@ -395,4 +395,4 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
         return ndtr(index)
     if model.family == "logit":
         return expit(index)
-    raise ValueError("unknown model family %r" % (model.family,))
+    raise ConfigError("unknown model family %r" % (model.family,))

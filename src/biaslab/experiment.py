@@ -45,7 +45,7 @@ from .analytic_linear import (
     omitted_group_errors,
 )
 from .analytic_probit import ProbitDgpCoefficients, omitted_group_errors_probit
-from .audit import ErrorReport, compare, error_report, mean_se
+from .audit import _SE_OF, ErrorReport, compare, error_report, mean_se
 from .dgp import (
     CLASSIFICATION_FAMILIES,
     DgpSpec,
@@ -182,7 +182,7 @@ def analytic_for_cell(cell: ExperimentCell) -> tuple[GroupErrorPrediction | None
     dgp, model, features = cell.dgp.family, cell.model, cell.features
     correct_spec = (dgp, model) in (("linear", "ols"), ("probit", "probit"), ("logit", "logit"))
     if features == "both" and correct_spec:
-        return GroupErrorPrediction(0.0, 0.0, 0.0, 0.0), 0.0
+        return GroupErrorPrediction.of_groups(0.0, 0.0, cell.dgp.mixture), 0.0
     if features == "x1_only" and dgp == "linear" and model == "ols":
         beta = LinearDgpCoefficients(*cell.dgp.beta)
         return omitted_group_errors(beta, cell.dgp.mixture), 0.0
@@ -222,23 +222,12 @@ def aggregate(indexed_reports: list[tuple[int, ErrorReport]]) -> ErrorReport:
     reports = [rep for _, rep in sorted(indexed_reports, key=lambda pair: pair[0])]
     if len(reports) == 1:
         return reports[0]
-    b_pop, se_pop = mean_se([r.b_pop for r in reports])
-    b_g0, se_g0 = mean_se([r.b_group0 for r in reports])
-    b_g1, se_g1 = mean_se([r.b_group1 for r in reports])
-    _, se_tau = mean_se([r.tau for r in reports])
-    return ErrorReport(
-        b_pop=b_pop,
-        b_group0=b_g0,
-        b_group1=b_g1,
-        tau=b_g1 - b_g0,  # identity holds exactly for the reported means
-        se_pop=se_pop,
-        se_group0=se_g0,
-        se_group1=se_g1,
-        se_tau=se_tau,
-        n_pop=sum(r.n_pop for r in reports),
-        n_group0=sum(r.n_group0 for r in reports),
-        n_group1=sum(r.n_group1 for r in reports),
-    )
+    stats = {}
+    for name, se in _SE_OF.items():
+        stats[name], stats[se] = mean_se([getattr(r, name) for r in reports])
+    stats["tau"] = stats["b_group1"] - stats["b_group0"]  # exact for the reported means
+    counts = {n: sum(getattr(r, n) for r in reports) for n in ("n_pop", "n_group0", "n_group1")}
+    return ErrorReport(**stats, **counts)
 
 
 def _non_finite(report: ErrorReport) -> str:

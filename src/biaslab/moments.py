@@ -55,8 +55,10 @@ class GroupGaussianSpec:
     def __post_init__(self):
         mean = _reals("mean", self.mean)
         cov = tuple(_reals("covariance row", row) for row in _list("covariance", self.covariance))
-        if len(mean) != 2 or len(cov) != 2 or any(len(row) != 2 for row in cov):
-            raise InvalidCovarianceError("mean must be a 2-vector and covariance 2x2")
+        if len(mean) != 2:
+            raise ConfigError("mean must be a 2-vector, got %r" % (mean,))
+        if len(cov) != 2 or any(len(row) != 2 for row in cov):
+            raise InvalidCovarianceError("covariance must be 2x2")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "covariance", cov)
         entries = mean + cov[0] + cov[1]
@@ -110,9 +112,9 @@ class MixtureSpec:
         weight = _real("weight_protected", self.weight_protected)
         object.__setattr__(self, "weight_protected", weight)
         if len(self.groups) != 2:
-            raise InvalidCovarianceError("exactly two groups are supported")
+            raise ConfigError("groups must hold exactly two groups, got %d" % len(self.groups))
         if not 0.0 <= self.weight_protected <= 1.0:
-            raise InvalidCovarianceError(
+            raise ConfigError(
                 "weight_protected must lie in [0, 1], got %r" % self.weight_protected
             )
 

@@ -8,6 +8,7 @@ import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -18,11 +19,15 @@ from scipy.special import ndtr
 
 import biaslab
 from biaslab import cli, experiment
-from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
-from biaslab.audit import ErrorReport, compare
+from biaslab.analytic_linear import (
+    GroupErrorPrediction,
+    LinearDgpCoefficients,
+    omitted_group_errors,
+)
+from biaslab.audit import ErrorReport, compare, error_report, mean_se
 from biaslab.cli import main
 from biaslab.dgp import DgpSpec, _count, derive_seed, generate
-from biaslab.estimators import fit_ols
+from biaslab.estimators import FittedModel, fit_forest, fit_ols, fit_probit, predict
 from biaslab.exceptions import BiaslabError, ConfigError, InvalidCovarianceError
 from biaslab.experiment import (
     CSV_HEADER,
@@ -138,6 +143,25 @@ def test_config_error_is_the_one_input_exception():
 def test_each_input_rule_raises_config_error(refuse):
     with pytest.raises(ConfigError):
         refuse()
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: predict(fit_ols(generate(small_cell().dgp, 1), "both"), [0.0]), "requires x2"),
+        (lambda: fit_probit(generate(small_cell().dgp, 1), "both"), "z labels"),
+        (lambda: fit_forest(generate(small_cell(n=2).dgp, 1), "both", seed=0), "MIN_LEAF"),
+        (lambda: predict(FittedModel("tobit", "x1_only", (0.0, 1.0)), [0.0]), "model family"),
+        (lambda: error_report([0.0, 1.0], [0.0, 1.0], [0]), "equal length"),
+        (lambda: error_report([0.0, 1.0], [0.0, 1.0], [0, 2]), "0 or 1"),
+    ],
+    ids=["design-x2", "mle-labels", "forest-rows", "predict-family", "audit-length", "audit-label"],
+)
+def test_estimator_and_audit_refusals_are_biaslab_errors(refuse, message):
+    # run_cell turns a BiaslabError into an error row; a plain ValueError would escape it.
+    with pytest.raises(BiaslabError, match=message) as raised:
+        refuse()
+    assert isinstance(raised.value, ValueError)
 
 
 # --- analytic attachment ---
@@ -291,6 +315,97 @@ def test_aggregate_single_replication_passes_through():
     assert report.b_group0 == only.b_group0
     assert report.se_group0 == only.se_group0
     assert report.se_tau == only.se_tau
+
+
+# The aggregation and comparison with each statistic written out by hand,
+# kept as references for the loops over the statistic -> SE table.
+def written_out_aggregate(reports):
+    if len(reports) == 1:
+        return reports[0]
+    b_pop, se_pop = mean_se([r.b_pop for r in reports])
+    b_g0, se_g0 = mean_se([r.b_group0 for r in reports])
+    b_g1, se_g1 = mean_se([r.b_group1 for r in reports])
+    _, se_tau = mean_se([r.tau for r in reports])
+    return ErrorReport(
+        b_pop=b_pop,
+        b_group0=b_g0,
+        b_group1=b_g1,
+        tau=b_g1 - b_g0,
+        se_pop=se_pop,
+        se_group0=se_g0,
+        se_group1=se_g1,
+        se_tau=se_tau,
+        n_pop=sum(r.n_pop for r in reports),
+        n_group0=sum(r.n_group0 for r in reports),
+        n_group1=sum(r.n_group1 for r in reports),
+    )
+
+
+def written_out_compare(analytic, empirical, extra_tolerance):
+    pairs = {
+        "b_pop": (empirical.b_pop, analytic.b_pop, empirical.se_pop),
+        "b_group0": (empirical.b_group0, analytic.b_group0, empirical.se_group0),
+        "b_group1": (empirical.b_group1, analytic.b_group1, empirical.se_group1),
+        "tau": (empirical.tau, analytic.tau, empirical.se_tau),
+    }
+    z_scores = {}
+    for name, (emp, ana, se) in pairs.items():
+        denom = math.hypot(se, extra_tolerance)
+        diff = emp - ana
+        if denom == 0.0:
+            z_scores[name] = 0.0 if diff == 0.0 else math.inf
+        else:
+            z_scores[name] = diff / denom
+    return z_scores
+
+
+def bits(record):
+    """A record's (name, value) pairs in field order, floats as their exact hex."""
+    return [(k, v.hex() if isinstance(v, float) else v) for k, v in vars(record).items()]
+
+
+STATISTICS = st.floats(allow_nan=True, allow_infinity=True) | st.floats(-10.0, 10.0)
+SES = st.sampled_from([0.0, math.nan, math.inf]) | st.floats(0.0, 10.0)
+
+
+@st.composite
+def error_reports(draw):
+    b0, b1 = draw(STATISTICS), draw(STATISTICS)
+    tau = b1 - b0 if draw(st.booleans()) else draw(STATISTICS)
+    n0, n1 = draw(st.integers(0, 10**6)), draw(st.integers(0, 10**6))
+    ses = [draw(SES) for _ in range(4)]
+    return ErrorReport(draw(STATISTICS), b0, b1, tau, *ses, n0 + n1, n0, n1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    reports=st.lists(error_reports(), min_size=1, max_size=6),
+    analytic=st.builds(GroupErrorPrediction, STATISTICS, STATISTICS, STATISTICS, STATISTICS),
+    extra_tolerance=st.sampled_from([0.0, PROBIT_MIXTURE_TOLERANCE]) | st.floats(0.0, 1.0),
+)
+def test_statistic_table_loops_equal_the_written_out_statistics(reports, analytic, extra_tolerance):
+    expected = written_out_aggregate(reports)
+    got = aggregate(list(enumerate(reports)))
+    assert type(got) is ErrorReport
+    assert bits(got) == bits(expected)
+    if all(v == v for v in vars(expected).values()):  # nan is unequal to itself
+        assert got == expected
+    for empirical in (got, reports[0]):
+        z_expected = written_out_compare(analytic, empirical, extra_tolerance)
+        z_got = compare(analytic, empirical, extra_tolerance)
+        assert list(z_got) == list(z_expected) == ["b_pop", "b_group0", "b_group1", "tau"]
+        assert [z.hex() for z in z_got.values()] == [z.hex() for z in z_expected.values()]
+
+
+def test_an_error_report_is_a_group_error_prediction_with_ses_and_counts():
+    assert [f.name for f in fields(ErrorReport)] == [
+        "b_pop", "b_group0", "b_group1", "tau",
+        "se_pop", "se_group0", "se_group1", "se_tau",
+        "n_pop", "n_group0", "n_group1",
+    ]
+    report = fake_report(3)
+    assert isinstance(report, GroupErrorPrediction)
+    assert list(vars(report)) == [f.name for f in fields(ErrorReport)]
 
 
 SWEEP_CONFIG = Path(__file__).resolve().parent.parent / "benchmarks" / "configs" / "sweep.json"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from biaslab.exceptions import InvalidCovarianceError
+from biaslab.exceptions import ConfigError, InvalidCovarianceError
 from biaslab.moments import GroupGaussianSpec, MixtureSpec, group_moments, pooled_moments
 
 from conftest import make_mixture, mixtures
@@ -118,8 +118,26 @@ def test_cholesky_factor_reproduces_the_covariance(spec):
 
 def test_invalid_weight_rejected():
     g = GroupGaussianSpec(mean=(0.0, 0.0), covariance=((1.0, 0.0), (0.0, 1.0)))
-    with pytest.raises(InvalidCovarianceError):
+    with pytest.raises(ConfigError, match="weight_protected") as raised:
         MixtureSpec(groups=(g, g), weight_protected=1.5)
+    assert not isinstance(raised.value, InvalidCovarianceError)
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda g: MixtureSpec(groups=(g,)), "groups"),
+        (lambda g: MixtureSpec(groups=(g, g, g)), "groups"),
+        (lambda g: GroupGaussianSpec(mean=(0.0,), covariance=g.covariance), "mean"),
+        (lambda g: GroupGaussianSpec(mean=(0.0, 0.0, 0.0), covariance=g.covariance), "mean"),
+    ],
+    ids=["one_group", "three_groups", "mean_of_one", "mean_of_three"],
+)
+def test_non_covariance_faults_name_their_field(build, field):
+    g = GroupGaussianSpec(mean=(0.0, 0.0), covariance=((1.0, 0.0), (0.0, 1.0)))
+    with pytest.raises(ConfigError, match=field) as raised:
+        build(g)
+    assert not isinstance(raised.value, InvalidCovarianceError)
 
 
 def test_pooled_moments_match_direct_sampling():
