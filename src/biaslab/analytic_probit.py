@@ -33,7 +33,7 @@ from math import hypot, sqrt
 from scipy.special import ndtr
 
 from .analytic_linear import GroupErrorPrediction
-from .exceptions import AssumptionViolationError
+from .exceptions import AssumptionViolationError, ConfigError
 from .moments import MixtureSpec, group_moments, pooled_moments
 
 # Tolerance for "zero" within-group covariance and equal group variances.
@@ -73,7 +73,7 @@ def gaussian_cdf_expectation(a: float, b: float, mu: float, sigma: float) -> flo
     hypot(1, b*sigma), which never squares; at sigma = 0, Phi(a + b*mu).
     """
     if sigma < 0:
-        raise ValueError("sigma must be nonnegative, got %r" % (sigma,))
+        raise ConfigError("sigma must be nonnegative, got %r" % (sigma,))
     return float(ndtr((a + b * mu) / hypot(1.0, b * sigma)))
 
 
@@ -91,7 +91,7 @@ def omitted_coefficients_probit(
     which never squares, so it does not overflow where b^2 sigma^2 would.
     """
     if not sigma2 > 0:
-        raise ValueError("sigma2 must be positive, got %r" % (sigma2,))
+        raise ConfigError("sigma2 must be positive, got %r" % (sigma2,))
     denom = hypot(1.0, beta.beta2 * sigma2)
     return ProbitShortCoefficients(
         gamma0=(beta.beta0 + beta.beta2 * mu2) / denom,

@@ -4,7 +4,7 @@ The audited quantity is always e = prediction - truth, where truth is the
 regression outcome or, for classification, the true risk probability
 (never the Bernoulli draw: scoring against the draw would mix irreducible
 label noise into the model's error). Means and standard deviations are
-computed with exactly rounded summation (math.fsum) of the errors and of
+computed with exactly rounded sums (``_exact_sum``) of the errors and of
 their squared deviations, each square a correctly rounded numpy product,
 so a report is bit-identical under any permutation of its input rows and
 the weighted group means recombine to the population mean at machine
@@ -43,29 +43,69 @@ _SE_OF = {"b_pop": "se_pop", "b_group0": "se_group0", "b_group1": "se_group1", "
 def mean_se(values) -> tuple[float, float]:
     """Exactly rounded mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1.
 
-    The squared deviations are correctly rounded numpy products, summed by
-    math.fsum like the values. A statistic whose sum or squares leave the
+    The squared deviations are correctly rounded numpy products, summed
+    exactly like the values. A statistic whose sum or squares leave the
     float range (or add inf to -inf) is nan instead of an exception, so
     huge errors read as non-finite statistics.
     """
     values = np.asarray(values, dtype=float)
     n = values.shape[0]
-    mean = _fsum(values.tolist()) / n
+    mean = _exact_sum(values) / n
     if n < 2:
         return mean, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         dev = values - mean
         squares = dev * dev
-    var = _fsum(squares.tolist()) / (n - 1)
+    var = _exact_sum(squares) / (n - 1)
     # A square that overflowed is inf here, and its sum is out of range.
     return mean, math.sqrt(var / n) if math.isfinite(var) else math.nan
 
 
-def _fsum(terms) -> float:
-    """math.fsum, or nan where a term or the sum overflows or inf meets -inf."""
+# Arrays this long are summed in exponent bins, shorter ones by math.fsum,
+# which is the faster of the two below about this size. Both are exact, so
+# the choice never changes a bit.
+_BINNED_FROM = 1000
+# Terms per numpy pass, small enough that its buffers stay in cache. A bin
+# stays exact up to 2**26 terms, as each adds an integer of at most 2**27.
+_BLOCK = 1 << 14
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The exactly rounded sum of a 1-d float array, in any order.
+
+    A term that is inf or nan gives IEEE's sum of those terms (inf, -inf or
+    nan), and an exact sum outside the float range gives nan. Long arrays
+    split each term into two integer limbs and add them per binary exponent
+    (Neal, "Fast exact summation using small and large superaccumulators",
+    2015); the bins join into one Python int, whose true division rounds
+    correctly.
+    """
+    n = values.shape[0]
+    if n < _BINNED_FROM:
+        try:
+            return math.fsum(values.tolist())
+        except (OverflowError, ValueError):
+            pass  # an intermediate overflow, or inf + -inf: the bins decide
+    finite = np.isfinite(values)
+    if not finite.all():
+        return sum(values[~finite].tolist())
+    total = 0
+    for start in range(0, n, _BLOCK):
+        lo, expo = np.frexp(values[start : start + _BLOCK])
+        lo *= 2.0**27  # the term is lo * 2**(expo - 27)
+        hi = np.floor(lo)  # |hi| <= 2**27
+        lo -= hi  # 0 <= lo < 1, a multiple of 2**-26
+        first = expo.min()
+        expo -= first
+        his = np.bincount(expo, weights=hi).tolist()
+        los = np.bincount(expo, weights=lo).tolist()
+        # A bin holds multiples of 2**(expo - 53). Counted in units of
+        # 2**-1126 (frexp's least exponent is -1073) it shifts by expo + 1073.
+        for shift, (h, l) in enumerate(zip(his, los), int(first) + 1073):
+            total += ((int(h) << 26) + int(l * 2.0**26)) << shift
     try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
+        return total / (1 << 1126)
+    except OverflowError:
         return math.nan
 
 

@@ -161,7 +161,7 @@ def group_moments(spec: MixtureSpec, a: int) -> MomentSummary:
         Group label, 0 or 1.
     """
     if a not in (0, 1):
-        raise ValueError("group label must be 0 or 1, got %r" % (a,))
+        raise ConfigError("group label must be 0 or 1, got %r" % (a,))
     g = spec.groups[a]
     m1, m2 = g.mean
     c = g.covariance

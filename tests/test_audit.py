@@ -1,5 +1,6 @@
 """Group error reports and analytic-vs-empirical comparisons."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis.extra.numpy import arrays
 
+from biaslab import audit
 from biaslab.analytic_linear import GroupErrorPrediction
-from biaslab.audit import compare, error_report, mean_se
+from biaslab.audit import _BINNED_FROM, _exact_sum, compare, error_report, mean_se
 from biaslab.exceptions import EmptyGroupError
 
 ZERO = GroupErrorPrediction(0.0, 0.0, 0.0, 0.0)
@@ -43,7 +46,7 @@ def test_report_is_permutation_invariant():
     base = error_report(predictions, truths, groups)
     perm = rng.permutation(1001)
     shuffled = error_report(predictions[perm], truths[perm], groups[perm])
-    # fsum makes the sums exactly rounded, hence order-independent.
+    # Exactly rounded sums are order-independent.
     assert base == shuffled
 
 
@@ -85,6 +88,89 @@ def test_single_row_group_has_zero_se():
 def test_mean_se_reads_out_of_range_sums_as_nan(values, mean):
     got_mean, got_se = mean_se(values)
     assert np.array_equal([got_mean, got_se], [mean, math.nan], equal_nan=True)
+
+
+@pytest.mark.parametrize("values", sorted(set(itertools.permutations([1e308, 1e308, -1e308]))))
+def test_mean_se_is_permutation_invariant_near_the_float_range(values):
+    # An intermediate overflow in one order is no reason for nan: the exact sum is 1e308.
+    got_mean, got_se = mean_se(list(values))
+    assert got_mean == 1e308 / 3
+    assert math.isnan(got_se)
+
+
+def same_bits(a, b):
+    """Equal floats with equal signs, or both nan."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def rational_sum(values):
+    """The exactly rounded sum, by rational arithmetic; nan outside the float range."""
+    try:
+        return float(sum(map(Fraction, values.tolist())))
+    except OverflowError:
+        return math.nan
+
+
+@st.composite
+def summands(draw):
+    """Finite arrays on both sides of _BINNED_FROM, any exponent, some terms cancelled."""
+    size = draw(st.one_of(st.integers(1, 60), st.integers(_BINNED_FROM - 60, 2 * _BINNED_FROM)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    values = draw(arrays(np.float64, size, elements=finite, fill=st.nothing()))
+    cancelled = draw(st.integers(0, size))
+    return np.concatenate([values, -values[:cancelled]])
+
+
+@given(summands(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_exact_sum_is_the_exactly_rounded_sum(values, seed):
+    want = rational_sum(values)
+    got = _exact_sum(values)
+    assert same_bits(got, want)
+    try:
+        fsum = math.fsum(values.tolist())
+    except OverflowError:
+        pass  # an intermediate overflow: the rational sum decides
+    else:
+        assert same_bits(got, fsum)
+    shuffled = values[np.random.default_rng(seed).permutation(values.shape[0])]
+    assert same_bits(_exact_sum(shuffled), got)
+    with pytest.MonkeyPatch.context() as patch:
+        # Blocks of 7 terms: the bins of many blocks join into one sum.
+        patch.setattr(audit, "_BLOCK", 7)
+        assert same_bits(_exact_sum(shuffled), want)
+
+
+@pytest.mark.parametrize("size", [4, _BINNED_FROM + 4])
+@pytest.mark.parametrize(
+    "specials, want",
+    [
+        ([math.inf], math.inf),
+        ([-math.inf], -math.inf),
+        ([math.inf, math.inf], math.inf),
+        ([math.inf, -math.inf], math.nan),
+        ([math.nan], math.nan),
+        ([math.nan, math.inf], math.nan),
+    ],
+)
+@pytest.mark.parametrize("finite", [1.0, 1e308])
+def test_exact_sum_of_non_finite_terms(specials, want, size, finite):
+    # The non-finite terms decide, even where the finite ones overflow.
+    values = np.full(size, finite)
+    values[1 : 1 + len(specials)] = specials
+    assert same_bits(_exact_sum(values), want)
+    assert same_bits(_exact_sum(values[::-1].copy()), want)
+
+
+@pytest.mark.parametrize("size", [3, _BINNED_FROM + 1])
+def test_exact_sum_out_of_the_float_range_is_nan(size):
+    assert math.isnan(_exact_sum(np.full(size, 1e308)))
+    assert math.isnan(_exact_sum(np.full(size, -1e308)))
+    near = np.full(size, 1e308)
+    near[1::2] = -1e308
+    assert _exact_sum(near) == (1e308 if size % 2 else 0.0)
 
 
 def exact_mean_se(values):

@@ -24,6 +24,11 @@ from biaslab.analytic_linear import (
     LinearDgpCoefficients,
     omitted_group_errors,
 )
+from biaslab.analytic_probit import (
+    ProbitDgpCoefficients,
+    gaussian_cdf_expectation,
+    omitted_coefficients_probit,
+)
 from biaslab.audit import ErrorReport, compare, error_report, mean_se
 from biaslab.cli import main
 from biaslab.dgp import DgpSpec, _count, derive_seed, generate
@@ -47,7 +52,7 @@ from biaslab.experiment import (
     run_cell,
     table1_config,
 )
-from biaslab.moments import GroupGaussianSpec, MixtureSpec, _real, _reals
+from biaslab.moments import GroupGaussianSpec, MixtureSpec, _real, _reals, group_moments
 
 from conftest import independent_mixture, make_mixture
 
@@ -159,6 +164,24 @@ def test_each_input_rule_raises_config_error(refuse):
 )
 def test_estimator_and_audit_refusals_are_biaslab_errors(refuse, message):
     # run_cell turns a BiaslabError into an error row; a plain ValueError would escape it.
+    with pytest.raises(BiaslabError, match=message) as raised:
+        refuse()
+    assert isinstance(raised.value, ValueError)
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        (lambda: gaussian_cdf_expectation(0.0, 1.0, 0.0, -1.0), "sigma must"),
+        (
+            lambda: omitted_coefficients_probit(ProbitDgpCoefficients(0.0, 1.0, 1.0), 0.0, 0.0),
+            "sigma2 must",
+        ),
+        (lambda: group_moments(TABLE_MIXTURE, 2), "group label"),
+    ],
+    ids=["cdf-sigma", "probit-sigma2", "moments-label"],
+)
+def test_closed_form_refusals_are_biaslab_errors(refuse, message):
     with pytest.raises(BiaslabError, match=message) as raised:
         refuse()
     assert isinstance(raised.value, ValueError)
