@@ -1,6 +1,6 @@
 """Benchmark this checkout against a parent commit in alternating pairs; write BENCH_<sha>.json.
 
-    python3 scripts/bench_pairs.py --seed 17 --pairs 10 --workload parametric
+    python3 scripts/bench_pairs.py --seed 17
 
 Run from anywhere inside the repository. The parent (``--base``, default
 ``HEAD~1``) is extracted with ``git archive`` into a temporary directory, so
@@ -9,12 +9,13 @@ of ``BENCHMARK.json``,
 
     python3 benchmarks/run.py --workload W --seed S --seconds 25 --trace 0
 
-once in each tree, the parent first in even pairs and the change first in
-odd ones. Then one default ``biaslab table1`` per side is timed (skip it with
-``--table1 0``). The file goes to the repository root, named after HEAD's
-short sha, and holds per side and metric the median, quartiles, count and
-values, the pairs each side won, both shas, the Python, numpy and scipy
-versions and the usable core count. Standard library only.
+once in each tree for every workload it lists, ten pairs each, the parent
+first in even pairs and the change first in odd ones. Then one default
+``biaslab table1`` per side is timed. The file goes to the repository root,
+named after HEAD's short sha, and holds per side and metric the median,
+quartiles, count and values, the pairs each side won, both shas, and the
+Python, numpy and scipy versions and usable core count that run.py reports.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -30,12 +31,19 @@ import time
 from pathlib import Path
 
 SIDES = ("parent", "change")
+PAIRS = 10
+# The keys of run.py's environment line that a BENCH file keeps; nproc is
+# the usable core count.
+ENVIRONMENT = ("python", "numpy", "scipy", "nproc")
 
 
 def side_summary(values: list[float]) -> dict:
+    # Mirrors benchmarks/harness.py's summary, which cannot be imported here:
+    # harness pulls in numpy and biaslab. An empty list has no median.
     out = {"n": len(values), "median": statistics.median(values) if values else None}
     if len(values) >= 2:
-        out["q1"], _, out["q3"] = statistics.quantiles(values, n=4)
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        out.update(q1=q1, q3=q3, min=min(values), max=max(values))
     out["values"] = values
     return out
 
@@ -93,16 +101,20 @@ def extract(root: Path, sha: str, into: Path) -> None:
 
 
 def run_benchmark(tree: Path, command: list[str], workload: str, seed: int, seconds: float):
-    """run.py's result line in ``tree``, or None if it printed none."""
+    """run.py's result line and ``environment:`` line in ``tree``, each None if absent."""
     args = [sys.executable, *command[1:], "--workload", workload, "--seed", str(seed)]
     args += ["--seconds", repr(seconds), "--trace", "0"]
     done = subprocess.run(args, cwd=tree, capture_output=True, text=True, timeout=3600)
     lines = done.stdout.strip().splitlines()
+    env = next(
+        (json.loads(text.partition(":")[2]) for text in lines if text.startswith("environment:")),
+        None,
+    )
     try:
-        return json.loads(lines[-1])
+        return json.loads(lines[-1]), env
     except (IndexError, json.JSONDecodeError):
         sys.stderr.write(done.stderr)
-        return None
+        return None, env
 
 
 def time_table1(tree: Path, out: Path) -> dict:
@@ -116,34 +128,20 @@ def time_table1(tree: Path, out: Path) -> dict:
     return {"seconds": time.perf_counter() - started, "exit": done.returncode}
 
 
-def versions() -> dict:
-    probe = (
-        "import json, platform, numpy, scipy; "
-        "print(json.dumps([platform.python_version(), numpy.__version__, scipy.__version__]))"
-    )
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
-    python, numpy, scipy = json.loads(done.stdout)
-    return {"python": python, "numpy": numpy, "scipy": scipy}
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append", help="repeat for several (default: all)")
     parser.add_argument("--base", default="HEAD~1", help="the parent commit (default HEAD~1)")
-    parser.add_argument("--table1", type=int, choices=(0, 1), default=1)
     args = parser.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
     spec = json.loads((root / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     head, parent = git(root, "rev-parse", "HEAD"), git(root, "rev-parse", args.base)
     record = {
         "change": {"sha": head, "dirty": bool(git(root, "status", "--porcelain"))},
         "parent": {"sha": parent},
-        "environment": {**versions(), "usable_cores": len(os.sched_getaffinity(0))},
+        "environment": None,
         "command": "%s --workload W --seed %d --seconds %s --trace 0"
         % (" ".join(spec["command"]), args.seed, spec["run_seconds"]),
         "workloads": {},
@@ -152,24 +150,23 @@ def main(argv=None) -> int:
         trees = {"parent": Path(tmp) / "parent", "change": root}
         trees["parent"].mkdir()
         extract(root, parent, trees["parent"])
-        for workload in workloads:
+        for workload in (w["name"] for w in spec["workloads"]):
             pairs = []
-            for index in range(args.pairs):
-                order = SIDES if index % 2 == 0 else SIDES[::-1]
-                pair = {
-                    side: run_benchmark(
+            for index in range(PAIRS):
+                pair = {}
+                for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+                    pair[side], env = run_benchmark(
                         trees[side], spec["command"], workload, args.seed, spec["run_seconds"]
                     )
-                    for side in order
-                }
+                    if side == "change" and env is not None:
+                        record["environment"] = {key: env[key] for key in ENVIRONMENT}
                 pairs.append(pair)
                 print("%s pair %d: %s" % (workload, index + 1, json.dumps(pair)), flush=True)
             record["workloads"][workload] = {"seed": args.seed, **summarise(pairs, better)}
-        if args.table1:
-            outputs = {side: Path(tmp) / ("table1-%s.md" % side) for side in SIDES}
-            record["table1"] = {side: time_table1(trees[side], outputs[side]) for side in SIDES}
-            same = outputs["parent"].read_bytes() == outputs["change"].read_bytes()
-            record["table1"]["same_bytes"] = same
+        outputs = {side: Path(tmp) / ("table1-%s.md" % side) for side in SIDES}
+        record["table1"] = {side: time_table1(trees[side], outputs[side]) for side in SIDES}
+        same = outputs["parent"].read_bytes() == outputs["change"].read_bytes()
+        record["table1"]["same_bytes"] = same
     path = root / ("BENCH_%s.json" % head[:7])
     path.write_text(json.dumps(record, indent=1) + "\n")
     print("wrote %s" % path)

@@ -44,8 +44,10 @@ def mean_se(values) -> tuple[float, float]:
     """Exactly rounded mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1.
 
     The squared deviations are correctly rounded numpy products, summed
-    exactly like the values. A statistic whose sum or squares leave the
-    float range (or add inf to -inf) is nan instead of an exception, so
+    exactly like the values. Where a value is inf or nan the mean is IEEE's
+    sum of the non-finite values (inf, -inf or nan) over n; a finite exact
+    sum outside the float range reads as nan instead of an exception. The
+    standard error is nan wherever a squared deviation is not finite, so
     huge errors read as non-finite statistics.
     """
     values = np.asarray(values, dtype=float)
@@ -61,10 +63,6 @@ def mean_se(values) -> tuple[float, float]:
     return mean, math.sqrt(var / n) if math.isfinite(var) else math.nan
 
 
-# Arrays this long are summed in exponent bins, shorter ones by math.fsum,
-# which is the faster of the two below about this size. Both are exact, so
-# the choice never changes a bit.
-_BINNED_FROM = 1000
 # Terms per numpy pass, small enough that its buffers stay in cache. A bin
 # stays exact up to 2**26 terms, as each adds an integer of at most 2**27.
 _BLOCK = 1 << 14
@@ -74,23 +72,16 @@ def _exact_sum(values: np.ndarray) -> float:
     """The exactly rounded sum of a 1-d float array, in any order.
 
     A term that is inf or nan gives IEEE's sum of those terms (inf, -inf or
-    nan), and an exact sum outside the float range gives nan. Long arrays
-    split each term into two integer limbs and add them per binary exponent
-    (Neal, "Fast exact summation using small and large superaccumulators",
-    2015); the bins join into one Python int, whose true division rounds
-    correctly.
+    nan), and an exact sum outside the float range gives nan. Each term
+    splits into two integer limbs that are added per binary exponent (Neal,
+    "Fast exact summation using small and large superaccumulators", 2015);
+    the bins join into one Python int, whose true division rounds correctly.
     """
-    n = values.shape[0]
-    if n < _BINNED_FROM:
-        try:
-            return math.fsum(values.tolist())
-        except (OverflowError, ValueError):
-            pass  # an intermediate overflow, or inf + -inf: the bins decide
     finite = np.isfinite(values)
     if not finite.all():
         return sum(values[~finite].tolist())
     total = 0
-    for start in range(0, n, _BLOCK):
+    for start in range(0, values.shape[0], _BLOCK):
         lo, expo = np.frexp(values[start : start + _BLOCK])
         lo *= 2.0**27  # the term is lo * 2**(expo - 27)
         hi = np.floor(lo)  # |hi| <= 2**27

@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from biaslab import audit
 from biaslab.analytic_linear import GroupErrorPrediction
-from biaslab.audit import _BINNED_FROM, _exact_sum, compare, error_report, mean_se
+from biaslab.audit import _exact_sum, compare, error_report, mean_se
 from biaslab.exceptions import EmptyGroupError
 
 ZERO = GroupErrorPrediction(0.0, 0.0, 0.0, 0.0)
@@ -115,8 +115,8 @@ def rational_sum(values):
 
 @st.composite
 def summands(draw):
-    """Finite arrays on both sides of _BINNED_FROM, any exponent, some terms cancelled."""
-    size = draw(st.one_of(st.integers(1, 60), st.integers(_BINNED_FROM - 60, 2 * _BINNED_FROM)))
+    """Finite arrays of a few or a thousand terms, any exponent, some terms cancelled."""
+    size = draw(st.one_of(st.integers(1, 60), st.integers(1000, 2000)))
     finite = st.floats(allow_nan=False, allow_infinity=False)
     values = draw(arrays(np.float64, size, elements=finite, fill=st.nothing()))
     cancelled = draw(st.integers(0, size))
@@ -143,7 +143,6 @@ def test_exact_sum_is_the_exactly_rounded_sum(values, seed):
         assert same_bits(_exact_sum(shuffled), want)
 
 
-@pytest.mark.parametrize("size", [4, _BINNED_FROM + 4])
 @pytest.mark.parametrize(
     "specials, want",
     [
@@ -156,15 +155,15 @@ def test_exact_sum_is_the_exactly_rounded_sum(values, seed):
     ],
 )
 @pytest.mark.parametrize("finite", [1.0, 1e308])
-def test_exact_sum_of_non_finite_terms(specials, want, size, finite):
+def test_exact_sum_of_non_finite_terms(specials, want, finite):
     # The non-finite terms decide, even where the finite ones overflow.
-    values = np.full(size, finite)
+    values = np.full(4, finite)
     values[1 : 1 + len(specials)] = specials
     assert same_bits(_exact_sum(values), want)
     assert same_bits(_exact_sum(values[::-1]), want)
 
 
-@pytest.mark.parametrize("size", [3, _BINNED_FROM + 1])
+@pytest.mark.parametrize("size", [3, 4])
 def test_exact_sum_out_of_the_float_range_is_nan(size):
     assert math.isnan(_exact_sum(np.full(size, 1e308)))
     assert math.isnan(_exact_sum(np.full(size, -1e308)))

@@ -42,6 +42,7 @@ def test_summary_of_pairs():
     assert grid["parent"]["values"] == [4.0, 4.2, 3.8]
     assert grid["parent"]["n"] == 3 and grid["parent"]["median"] == 4.0
     assert (grid["parent"]["q1"], grid["parent"]["q3"]) == pytest.approx((3.8, 4.2))
+    assert (grid["parent"]["min"], grid["parent"]["max"]) == (3.8, 4.2)
     assert grid["change"]["values"] == [3.0, 2.8, 3.9, 2.9]
     assert grid["change"]["median"] == pytest.approx(2.95)
     # The fourth pair has no parent line, so it counts for neither side.
