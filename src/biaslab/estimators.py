@@ -2,9 +2,11 @@
 
 The maximum-likelihood fits use damped Newton with analytic gradients and
 Hessians (start at zero, step-halving line search, hard iteration cap); the
-forest is bagged CART with a variance-reduction split criterion, its trees
-grown and scored on a forked process pool. A tree sorts each feature once,
-at its root, and stably partitions the sorted rows down to the children.
+forest is bagged CART with a variance-reduction split criterion. One pass
+over a forked process pool grows each tree and scores the training rows
+with it, so a forest fit carries its own in-sample scores. A tree sorts
+each feature once, at its root, and stably partitions the sorted rows down
+to the children.
 scipy supplies only scalar numerics primitives (normal CDF, log CDF,
 logistic), never the fitting itself.
 """
@@ -78,13 +80,18 @@ class Tree:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """A fitted predictor: coefficients for ols/probit/logit, trees for forest."""
+    """A fitted predictor: coefficients for ols/probit/logit, trees for forest.
+
+    A forest also carries ``fitted``, its scores on the rows it was fitted
+    to, equal byte for byte to ``predict`` on those rows.
+    """
 
     family: str
     features: str
     coefficients: tuple[float, ...] | None = None
     forest: tuple[Tree, ...] | None = None
     diagnostics: FitDiagnostics | None = None
+    fitted: np.ndarray | None = None
 
 
 def fit_ols(data: Dataset, features: str) -> FittedModel:
@@ -130,14 +137,14 @@ class _ProbitLink:
 
     @staticmethod
     def loglik(eta: np.ndarray, z: np.ndarray) -> float:
-        return float(np.sum(log_ndtr(np.where(z == 1, eta, -eta))))
+        return float(np.sum(log_ndtr((2.0 * z - 1.0) * eta)))
 
     @staticmethod
     def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        pos = z == 1
-        s = np.where(pos, eta, -eta)
+        sign = 2.0 * z - 1.0
+        s = sign * eta
         lam = _mills(s)
-        return np.where(pos, lam, -lam), lam * (lam + s)
+        return sign * lam, lam * (lam + s)
 
 
 class _LogitLink:
@@ -145,7 +152,7 @@ class _LogitLink:
 
     @staticmethod
     def loglik(eta: np.ndarray, z: np.ndarray) -> float:
-        return float(-np.sum(np.logaddexp(0.0, np.where(z == 1, -eta, eta))))
+        return float(-np.sum(np.logaddexp(0.0, (1.0 - 2.0 * z) * eta)))
 
     @staticmethod
     def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,11 +341,13 @@ def _pool_map(task, items, inputs):
         yield from pool.map(functools.partial(_apply, task), items)
 
 
-def _fit_tree(t: int, inputs) -> Tree:
+def _fit_tree(t: int, inputs) -> tuple[Tree, np.ndarray]:
+    """Grow tree t on its bootstrap sample and score all the rows with it."""
     x, y, seed = inputs
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
     boot = rng.integers(0, y.shape[0], size=y.shape[0])
-    return _grow_tree(x[boot], y[boot], MAX_DEPTH, MIN_LEAF)
+    tree = _grow_tree(x[boot], y[boot], MAX_DEPTH, MIN_LEAF)
+    return tree, _tree_predict(tree, x)
 
 
 def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
@@ -347,26 +356,52 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     Each tree trains on a full-size bootstrap resample drawn from its own
     counter-derived substream, so the ensemble is identical regardless of
     the order trees are built in or the number of workers building them.
+    The worker that grows a tree also scores the training rows with it, and
+    ``fitted`` sums those scores in tree order as ``predict`` does.
     """
-    x = _design(data.x1, data.x2, features)[:, 1:]  # trees do not use an intercept
+    # trees do not use an intercept
+    x = np.ascontiguousarray(_design(data.x1, data.x2, features)[:, 1:])
     y = np.asarray(data.y, dtype=float)
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
         raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
-    trees = tuple(_pool_map(_fit_tree, range(N_TREES), (x, y, seed)))
-    return FittedModel(family="forest", features=features, forest=trees)
+    trees, total = [], None
+    for tree, scores in _pool_map(_fit_tree, range(N_TREES), (x, y, seed)):
+        trees.append(tree)
+        if total is None:
+            total = scores
+        else:
+            total += scores
+    return FittedModel(
+        family="forest", features=features, forest=tuple(trees), fitted=total / N_TREES
+    )
 
 
 def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:
+    """One tree's score for each row of ``xmat``, walked one level per step.
+
+    Each leaf becomes a node whose threshold is +inf and whose children are
+    itself, so every row takes the same step at every level: look up its
+    node's feature in the flattened rows, compare, and move to child
+    ``2 * node + (went right)`` of the interleaved child table. A feature
+    that is NaN fails ``<=`` and goes right. The walk stops once no row
+    sits on an internal node, so any depth is handled.
+    """
+    leaf = tree.feature < 0
+    nodes = np.arange(leaf.shape[0])
+    feature = np.where(leaf, 0, tree.feature)
+    threshold = np.where(leaf, np.inf, tree.threshold)
+    children = np.column_stack(
+        [np.where(leaf, nodes, tree.left), np.where(leaf, nodes, tree.right)]
+    ).ravel()
+    xmat = np.ascontiguousarray(xmat, dtype=float)
+    flat = xmat.ravel()
+    row_start = np.arange(0, flat.shape[0], xmat.shape[1])
     idx = np.zeros(xmat.shape[0], dtype=np.int64)
-    while True:
-        rows = np.nonzero(tree.feature[idx] >= 0)[0]
-        if rows.shape[0] == 0:
-            return tree.value[idx]
-        nodes = idx[rows]
-        xv = xmat[rows, tree.feature[nodes]]
-        go_left = xv <= tree.threshold[nodes]
-        idx[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+    while not leaf[idx].all():
+        xv = flat[row_start + feature[idx]]
+        idx = children[2 * idx + ~(xv <= threshold[idx])]
+    return tree.value[idx]
 
 
 def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
@@ -381,11 +416,10 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     of the stacked scores, which for one row sums pairwise (last bit).
     """
     if model.family == "forest":
-        xmat = _design(x1, x2, model.features)[:, 1:]
-        scores = _pool_map(_tree_predict, model.forest, xmat)
-        total = next(scores).copy()
-        for tree_scores in scores:
-            total += tree_scores
+        xmat = np.ascontiguousarray(_design(x1, x2, model.features)[:, 1:])
+        total = _tree_predict(model.forest[0], xmat)
+        for tree in model.forest[1:]:
+            total += _tree_predict(tree, xmat)
         return total / len(model.forest)
     x = _design(x1, x2, model.features)
     index = x @ np.asarray(model.coefficients, dtype=float)

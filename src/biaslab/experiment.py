@@ -196,7 +196,10 @@ def analytic_for_cell(cell: ExperimentCell) -> tuple[GroupErrorPrediction | None
 
 
 def run_replication(cell: ExperimentCell, seed: int) -> ErrorReport:
-    """Generate one dataset, fit the cell's model, audit score vs truth."""
+    """Generate one dataset, fit the cell's model, audit score vs truth.
+
+    A forest is audited on the training-row scores its fit already made.
+    """
     dataset = generate(cell.dgp, seed)
     if cell.model == "ols":
         model = fit_ols(dataset, cell.features)
@@ -206,8 +209,8 @@ def run_replication(cell: ExperimentCell, seed: int) -> ErrorReport:
         model = fit_logit(dataset, cell.features)
     else:
         model = fit_forest(dataset, cell.features, seed=derive_seed(seed, "forest"))
-    predictions = predict(model, dataset.x1, dataset.x2)
-    return error_report(predictions, dataset.y, dataset.a)
+        return error_report(model.fitted, dataset.y, dataset.a)
+    return error_report(predict(model, dataset.x1, dataset.x2), dataset.y, dataset.a)
 
 
 def aggregate(indexed_reports: list[tuple[int, ErrorReport]]) -> ErrorReport:

@@ -372,8 +372,8 @@ def test_pooled_forest_equals_trees_grown_one_by_one(features):
             assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
 
 
-def test_forest_is_the_same_for_any_worker_count(monkeypatch):
-    ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=24)
+def record_pools(monkeypatch):
+    """Replace the pool class with one that logs each pool's worker count."""
     pools = []
 
     class RecordingPool(estimators.ProcessPoolExecutor):
@@ -382,14 +382,37 @@ def test_forest_is_the_same_for_any_worker_count(monkeypatch):
             super().__init__(max_workers, **kwargs)
 
     monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+    return pools
+
+
+def test_forest_is_the_same_for_any_worker_count(monkeypatch):
+    ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=24)
+    pools = record_pools(monkeypatch)
     runs = []
     for cores in (1, 3):
         monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid, k=cores: set(range(k)))
         model = fit_forest(ds, "both", seed=11)
         trees = [tuple(a.tobytes() for a in vars(tree).values()) for tree in model.forest]
-        runs.append((trees, predict(model, ds.x1, ds.x2).tobytes()))
-    assert pools == [1, 1, 3, 3]
+        scores = predict(model, ds.x1, ds.x2).tobytes()
+        assert model.fitted.tobytes() == scores
+        runs.append((trees, scores))
+    # predict scores serially: the fit's pool is the only one
+    assert pools == [1, 3]
     assert runs[0] == runs[1]
+
+
+def test_a_forest_replication_opens_one_pool_and_audits_the_fitted_scores(monkeypatch):
+    from biaslab import experiment
+    from biaslab.audit import error_report
+
+    pools = record_pools(monkeypatch)
+    spec = DgpSpec(family="linear", beta=(-2.0, 1.0, 1.0), mixture=REFERENCE, n_per_group=60)
+    cell = experiment.ExperimentCell(dgp=spec, model="forest", features="x1_only")
+    report = experiment.run_replication(cell, seed=7)
+    assert len(pools) == 1
+    ds = generate(spec, 7)
+    model = fit_forest(ds, "x1_only", seed=derive_seed(7, "forest"))
+    assert report == error_report(predict(model, ds.x1), ds.y, ds.a)
 
 
 def reference_tree(xmat, y, max_depth, min_leaf):
@@ -441,15 +464,17 @@ def reference_tree(xmat, y, max_depth, min_leaf):
     return [np.array(column) for column in zip(*nodes)]
 
 
-@pytest.mark.parametrize(
-    "seed,x_kind", enumerate(["continuous", "integer", "rounded", "duplicated", "mixed"])
-)
-def test_grower_matches_the_per_feature_reference(seed, x_kind):
-    # "continuous" has no ties and "duplicated" ties only identical rows, as a
-    # bootstrap sample does. With two features the ties of "integer",
-    # "rounded" and "mixed" (integer feature 0, continuous feature 1) join
-    # rows that differ in the other feature, so they pin the tie order: by
-    # value, then by position in the sample, at every node.
+X_KINDS = ["continuous", "integer", "rounded", "duplicated", "mixed"]
+
+
+def grower_cases(seed, x_kind):
+    """Yield 20 random (xmat, y, max_depth, min_leaf) grower inputs of one kind.
+
+    "continuous" has no ties and "duplicated" ties only identical rows, as a
+    bootstrap sample does. With two features the ties of "integer",
+    "rounded" and "mixed" (integer feature 0, continuous feature 1) join
+    rows that differ in the other feature.
+    """
     rng = np.random.default_rng(seed)
     for case in range(20):
         n = int(rng.integers(10, 120))
@@ -466,11 +491,80 @@ def test_grower_matches_the_per_feature_reference(seed, x_kind):
         if x_kind == "duplicated":
             boot = rng.integers(0, n, size=n)
             xmat, y = xmat[boot], y[boot]
-        min_leaf, max_depth = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        yield xmat, y, int(rng.integers(1, 9)), int(rng.integers(1, 8))
+
+
+@pytest.mark.parametrize("seed,x_kind", enumerate(X_KINDS))
+def test_grower_matches_the_per_feature_reference(seed, x_kind):
+    # The tied kinds pin the tie order: by value, then by position in the
+    # sample, at every node.
+    for case, (xmat, y, max_depth, min_leaf) in enumerate(grower_cases(seed, x_kind)):
         tree = _grow_tree(xmat, y, max_depth, min_leaf)
         want = reference_tree(xmat, y, max_depth, min_leaf)
         for name, expected in zip(("feature", "threshold", "left", "right", "value"), want):
             assert np.array_equal(getattr(tree, name), expected), (case, name)
+
+
+def reference_predict(tree, xmat):
+    """Row-compacting traversal: each level moves only the rows not yet at a leaf."""
+    idx = np.zeros(xmat.shape[0], dtype=np.int64)
+    while True:
+        rows = np.nonzero(tree.feature[idx] >= 0)[0]
+        if rows.shape[0] == 0:
+            return tree.value[idx]
+        nodes = idx[rows]
+        xv = xmat[rows, tree.feature[nodes]]
+        go_left = xv <= tree.threshold[nodes]
+        idx[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+
+
+@pytest.mark.parametrize("seed,x_kind", enumerate(X_KINDS))
+def test_traversal_matches_the_compacting_reference(seed, x_kind):
+    # Probe rows: the training rows, fresh draws, and rows whose features
+    # are NaN (goes right) or +-inf, alone and next to a finite value.
+    rng = np.random.default_rng(100 + seed)
+    for xmat, y, max_depth, min_leaf in grower_cases(seed, x_kind):
+        tree = _grow_tree(xmat, y, max_depth, min_leaf)
+        d = xmat.shape[1]
+        special = np.array([np.nan, np.inf, -np.inf, 0.0])
+        odd = np.array(np.meshgrid(*[special] * d)).reshape(d, -1).T
+        probe = np.vstack([xmat, 2.0 * rng.standard_normal((50, d)), odd])
+        for rows in (probe, probe[:1], probe[:0]):
+            got = _tree_predict(tree, rows)
+            assert got.tobytes() == reference_predict(tree, rows).tobytes()
+
+
+def test_traversal_walks_a_chain_deeper_than_max_depth():
+    # Node k splits feature k % 2 at k and sends its right child one level
+    # down, so a row with both features at v lands in leaf ceil(v) of the chain.
+    depth = 3 * MAX_DEPTH
+    feature, threshold, left, right, value = [], [], [], [], []
+    for k in range(depth):
+        # internal node 2k: left leaf 2k+1, right internal 2k+2
+        feature += [k % 2, -1]
+        threshold += [float(k), 0.0]
+        left += [2 * k + 1, -1]
+        right += [2 * k + 2, -1]
+        value += [0.0, float(k)]
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(-1)
+    right.append(-1)
+    value.append(float(depth))
+    tree = estimators.Tree(
+        feature=np.array(feature),
+        threshold=np.array(threshold),
+        left=np.array(left),
+        right=np.array(right),
+        value=np.array(value),
+    )
+    v = np.concatenate([np.arange(-1.0, depth + 2.0, 0.5), [np.nan, np.inf, -np.inf]])
+    xmat = np.column_stack([v, v])
+    got = _tree_predict(tree, xmat)
+    assert got.tobytes() == reference_predict(tree, xmat).tobytes()
+    finite = np.isfinite(v)
+    assert np.array_equal(got[finite], np.clip(np.ceil(v[finite]), 0.0, depth))
+    assert list(got[~finite]) == [depth, depth, 0.0]
 
 
 def test_split_applies_the_scored_partition_between_adjacent_floats():
