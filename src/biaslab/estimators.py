@@ -249,8 +249,11 @@ def fit_logit(data: Dataset, features: str) -> FittedModel:
 def _grow_tree(xmat: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> Tree:
     """CART regression tree: greedy variance-reduction splits, depth-capped.
 
-    Each node scores every (feature, left size) pair in one pass and takes
-    the first minimum: ties go to the lower feature, then the smaller left
+    A split's cost is -(ls^2/k + rs^2/(m-k)) for left and right sums ls, rs
+    of k and m-k rows: the children's summed squared deviations less the
+    node's sum of squares, which is the same for every split. Each node
+    scores every (feature, left size) pair in one pass and takes the first
+    minimum: ties go to the lower feature, then the smaller left
     child. The threshold is the midpoint of the two values the split falls
     between, or the lower one where the midpoint rounds up to the upper,
     so the applied split is always the scored one.
@@ -278,12 +281,11 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -
             order, xs = (a[keep].reshape(n_features, m) for a in (order, xs))
         ys = y[order]
         csum = np.cumsum(ys, axis=1)
-        csum2 = np.cumsum(ys * ys, axis=1)
         hi = m - min_leaf
         sizes = np.arange(min_leaf, hi + 1)  # left child sizes
-        ls, ls2 = csum[:, min_leaf - 1 : hi], csum2[:, min_leaf - 1 : hi]
-        rs, rs2 = csum[:, -1:] - ls, csum2[:, -1:] - ls2
-        cost = (ls2 - ls * ls / sizes) + (rs2 - rs * rs / (m - sizes))
+        ls = csum[:, min_leaf - 1 : hi]
+        rs = csum[:, -1:] - ls
+        cost = -(ls * ls / sizes + rs * rs / (m - sizes))
         cost = np.where(xs[:, min_leaf - 1 : hi] < xs[:, min_leaf : hi + 1], cost, np.inf)
         f, i = divmod(int(np.argmin(cost)), cost.shape[1])
         if cost[f, i] == np.inf:

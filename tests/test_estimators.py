@@ -418,8 +418,9 @@ def test_a_forest_replication_opens_one_pool_and_audits_the_fitted_scores(monkey
 def reference_tree(xmat, y, max_depth, min_leaf):
     """Per-feature CART grower (Breiman et al., 1984), one Python loop per feature.
 
-    Splits minimise the children's summed squared deviations; ties go to the
-    first feature, then the smallest left child. The threshold is the
+    Splits minimise the children's summed squared deviations, scored as
+    -(ls^2/k + rs^2/(m-k)) (the node's constant sum of squares left out);
+    ties go to the first feature, then the smallest left child. The threshold is the
     midpoint of the neighbouring values, or the lower one where the midpoint
     rounds up, and the rows are partitioned by comparing with it. Each
     feature's rows at a node are sorted by value, then by row index.
@@ -438,14 +439,14 @@ def reference_tree(xmat, y, max_depth, min_leaf):
             xf = xmat[rows, f]
             order = np.lexsort((rows, xf))
             xs, ys = xf[order], yr[order]
-            csum, csum2 = np.cumsum(ys), np.cumsum(ys * ys)
+            csum = np.cumsum(ys)
             sizes = np.arange(min_leaf, m - min_leaf + 1)
             sizes = sizes[xs[sizes - 1] < xs[sizes]]
             if sizes.shape[0] == 0:
                 continue
-            ls, ls2 = csum[sizes - 1], csum2[sizes - 1]
-            rs, rs2 = csum[-1] - ls, csum2[-1] - ls2
-            cost = (ls2 - ls * ls / sizes) + (rs2 - rs * rs / (m - sizes))
+            ls = csum[sizes - 1]
+            rs = csum[-1] - ls
+            cost = -(ls * ls / sizes + rs * rs / (m - sizes))
             pick = int(np.argmin(cost))
             if best is None or cost[pick] < best[0]:
                 i = int(sizes[pick])
