@@ -367,27 +367,25 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
         raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
-    trees, total = [], None
-    for tree, scores in _pool_map(_fit_tree, range(N_TREES), (x, y, seed)):
+    grown = _pool_map(_fit_tree, range(N_TREES), (x, y, seed))
+    tree, total = next(grown)
+    trees = [tree]
+    for tree, scores in grown:
         trees.append(tree)
-        if total is None:
-            total = scores
-        else:
-            total += scores
+        total += scores
     return FittedModel(
         family="forest", features=features, forest=tuple(trees), fitted=total / N_TREES
     )
 
 
 def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:
-    """One tree's score for each row of ``xmat``, walked one level per step.
+    """One tree's score for each row of ``xmat``, every row one level per step.
 
-    Each leaf becomes a node whose threshold is +inf and whose children are
-    itself, so every row takes the same step at every level: look up its
-    node's feature in the flattened rows, compare, and move to child
-    ``2 * node + (went right)`` of the interleaved child table. A feature
-    that is NaN fails ``<=`` and goes right. The walk stops once no row
-    sits on an internal node, so any depth is handled.
+    A leaf becomes a node with threshold +inf whose children are itself, so
+    all rows take the same step: read the node's feature from the flattened
+    rows and move to child ``2 * node + (went right)`` of the interleaved
+    child table. A NaN feature fails ``<=`` and goes right. The walk stops
+    once no row sits on an internal node, so any depth is handled.
     """
     leaf = tree.feature < 0
     nodes = np.arange(leaf.shape[0])
@@ -396,8 +394,7 @@ def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:
     children = np.column_stack(
         [np.where(leaf, nodes, tree.left), np.where(leaf, nodes, tree.right)]
     ).ravel()
-    xmat = np.ascontiguousarray(xmat, dtype=float)
-    flat = xmat.ravel()
+    flat = xmat.ravel()  # a copy unless xmat is C-contiguous
     row_start = np.arange(0, flat.shape[0], xmat.shape[1])
     idx = np.zeros(xmat.shape[0], dtype=np.int64)
     while not leaf[idx].all():
