@@ -410,9 +410,10 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     and logit returns S(index), both in [0, 1]. ``x2`` may be omitted for
     x1_only models.
 
-    A forest's score is its trees' scores, summed in tree order, over the
-    tree count: for two or more rows bit-identical to numpy's axis-0 mean
-    of the stacked scores, which for one row sums pairwise (last bit).
+    A forest's score is its trees' scores, summed serially in tree order,
+    over the tree count: on the training rows the bytes of ``fitted``, and
+    for two or more rows bit-identical to numpy's axis-0 mean of the
+    stacked scores, which for one row sums pairwise (last bit).
     """
     if model.family == "forest":
         xmat = np.ascontiguousarray(_design(x1, x2, model.features)[:, 1:])

@@ -420,10 +420,11 @@ def reference_tree(xmat, y, max_depth, min_leaf):
 
     Splits minimise the children's summed squared deviations, scored as
     -(ls^2/k + rs^2/(m-k)) (the node's constant sum of squares left out);
-    ties go to the first feature, then the smallest left child. The threshold is the
-    midpoint of the neighbouring values, or the lower one where the midpoint
-    rounds up, and the rows are partitioned by comparing with it. Each
-    feature's rows at a node are sorted by value, then by row index.
+    ties go to the first feature, then the smallest left child. The
+    threshold is the midpoint of the neighbouring values, or the lower one
+    where the midpoint rounds up, and the rows are partitioned by comparing
+    with it. Each feature's rows at a node are sorted by value, then by row
+    index.
     """
     nodes = [[-1, 0.0, -1, -1, 0.0]]
     stack = [(0, np.arange(y.shape[0]), 0)]
@@ -492,7 +493,8 @@ def grower_cases(seed, x_kind):
         if x_kind == "duplicated":
             boot = rng.integers(0, n, size=n)
             xmat, y = xmat[boot], y[boot]
-        yield xmat, y, int(rng.integers(1, 9)), int(rng.integers(1, 8))
+        min_leaf, max_depth = int(rng.integers(1, 8)), int(rng.integers(1, 9))
+        yield xmat, y, max_depth, min_leaf
 
 
 @pytest.mark.parametrize("seed,x_kind", enumerate(X_KINDS))
@@ -539,26 +541,12 @@ def test_traversal_walks_a_chain_deeper_than_max_depth():
     # Node k splits feature k % 2 at k and sends its right child one level
     # down, so a row with both features at v lands in leaf ceil(v) of the chain.
     depth = 3 * MAX_DEPTH
-    feature, threshold, left, right, value = [], [], [], [], []
+    nodes = []  # feature, threshold, left, right, value
     for k in range(depth):
-        # internal node 2k: left leaf 2k+1, right internal 2k+2
-        feature += [k % 2, -1]
-        threshold += [float(k), 0.0]
-        left += [2 * k + 1, -1]
-        right += [2 * k + 2, -1]
-        value += [0.0, float(k)]
-    feature.append(-1)
-    threshold.append(0.0)
-    left.append(-1)
-    right.append(-1)
-    value.append(float(depth))
-    tree = estimators.Tree(
-        feature=np.array(feature),
-        threshold=np.array(threshold),
-        left=np.array(left),
-        right=np.array(right),
-        value=np.array(value),
-    )
+        # internal node 2k: left leaf 2k+1, right child 2k+2
+        nodes += [[k % 2, float(k), 2 * k + 1, 2 * k + 2, 0.0], [-1, 0.0, -1, -1, float(k)]]
+    nodes.append([-1, 0.0, -1, -1, float(depth)])
+    tree = estimators.Tree(*(np.array(column) for column in zip(*nodes)))
     v = np.concatenate([np.arange(-1.0, depth + 2.0, 0.5), [np.nan, np.inf, -np.inf]])
     xmat = np.column_stack([v, v])
     got = _tree_predict(tree, xmat)
