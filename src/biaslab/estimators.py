@@ -4,8 +4,9 @@ The maximum-likelihood fits use damped Newton with analytic gradients and
 Hessians (start at zero, step-halving line search, hard iteration cap); the
 forest is bagged CART with a variance-reduction split criterion. One pass
 over a forked process pool grows each tree and scores the training rows
-with it, so a forest fit carries its own in-sample scores. A tree sorts
-each feature once, at its root, and stably partitions the sorted rows down
+with it, so a forest fit carries its own in-sample scores. A fit sorts
+each feature of the training rows once; a tree repeats each sorted row by
+its bootstrap count at its root and stably partitions the sorted rows down
 to the children.
 scipy supplies only scalar numerics primitives (normal CDF, log CDF,
 logistic), never the fitting itself.
@@ -246,8 +247,28 @@ def fit_logit(data: Dataset, features: str) -> FittedModel:
     return _fit_mle(data, features, _LogitLink, "logit")
 
 
-def _grow_tree(xmat: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -> Tree:
+def _presort(xmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each feature's row ids in (value, row id) order, and the sorted values.
+
+    One stable argsort per feature; every tree of a forest starts from it.
+    """
+    xt = np.ascontiguousarray(xmat.T)  # feature-major: one sorted list per feature
+    order = np.argsort(xt, axis=1, kind="stable")
+    return order, np.take_along_axis(xt, order, axis=1)
+
+
+def _grow_tree(
+    presorted: tuple[np.ndarray, np.ndarray],
+    y: np.ndarray,
+    counts: np.ndarray,
+    max_depth: int,
+    min_leaf: int,
+) -> Tree:
     """CART regression tree: greedy variance-reduction splits, depth-capped.
+
+    The sample is ``counts[j]`` copies of training row j, whose outcome is
+    ``y[j]`` and whose features ``presorted`` (from ``_presort``) holds in
+    sorted order; a bootstrap's counts are the bincount of its draws.
 
     A split's cost is -(ls^2/k + rs^2/(m-k)) for left and right sums ls, rs
     of k and m-k rows: the children's summed squared deviations less the
@@ -258,19 +279,22 @@ def _grow_tree(xmat: np.ndarray, y: np.ndarray, max_depth: int, min_leaf: int) -
     between, or the lower one where the midpoint rounds up to the upper,
     so the applied split is always the scored one.
 
-    Each feature is sorted once, at the root, by value and then by
-    position in the sample. A split passes each child its side of every
-    sorted list, in the parent's order (a stable partition by one reused
-    "goes left" array), so every node's lists keep that order.
+    The root's list for each feature repeats each presorted row id by its
+    count, so it is in (value, training row id) order with the copies of a
+    row side by side. A split passes each child its side of every sorted
+    list, in the parent's order (a stable partition by one reused "goes
+    left" array over the training rows: copies of a row are identical, so
+    they all go the same way), so every node's lists keep that order. The
+    root's value sums y over the sample in training-row order.
     """
-    xt = np.ascontiguousarray(xmat.T)  # feature-major: one sorted list per feature
-    n_features, n = xt.shape
-    order = np.argsort(xt, axis=1, kind="stable")
-    xs = np.take_along_axis(xt, order, axis=1)
+    order, xs = presorted
+    n_features, n = order.shape
+    reps = counts[order].ravel()
+    order, xs = (np.repeat(a.ravel(), reps).reshape(n_features, -1) for a in (order, xs))
     goes_left = np.zeros(n, dtype=bool)
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
     # node, its y; the parent's sorted lists and this node's mask of them
-    stack = [(0, y, order, xs, None, 0)]
+    stack = [(0, np.repeat(y, counts), order, xs, None, 0)]
     while stack:
         node, yr, order, xs, keep, depth = stack.pop()
         m = yr.shape[0]
@@ -345,10 +369,11 @@ def _pool_map(task, items, inputs):
 
 def _fit_tree(t: int, inputs) -> tuple[Tree, np.ndarray]:
     """Grow tree t on its bootstrap sample and score all the rows with it."""
-    x, y, seed = inputs
+    x, y, presorted, seed = inputs
+    n = y.shape[0]
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
-    boot = rng.integers(0, y.shape[0], size=y.shape[0])
-    tree = _grow_tree(x[boot], y[boot], MAX_DEPTH, MIN_LEAF)
+    counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    tree = _grow_tree(presorted, y, counts, MAX_DEPTH, MIN_LEAF)
     return tree, _tree_predict(tree, x)
 
 
@@ -367,7 +392,7 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
         raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
-    grown = _pool_map(_fit_tree, range(N_TREES), (x, y, seed))
+    grown = _pool_map(_fit_tree, range(N_TREES), (x, y, _presort(x), seed))
     tree, total = next(grown)
     trees = [tree]
     for tree, scores in grown:

@@ -14,6 +14,7 @@ from biaslab.estimators import (
     N_TREES,
     _grow_tree,
     _LogitLink,
+    _presort,
     _ProbitLink,
     _tree_predict,
     fit_forest,
@@ -363,11 +364,12 @@ def test_pooled_forest_equals_trees_grown_one_by_one(features):
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=22)
     model = fit_forest(ds, features, seed=9)
     x = np.column_stack([ds.x1, ds.x2] if features == "both" else [ds.x1])
+    presorted = _presort(x)
     assert len(model.forest) == N_TREES
     for t, tree in enumerate(model.forest):
         rng = np.random.Generator(np.random.Philox(key=derive_seed(9, "tree", t)))
-        boot = rng.integers(0, ds.n, size=ds.n)
-        want = _grow_tree(x[boot], ds.y[boot], MAX_DEPTH, MIN_LEAF)
+        counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
+        want = _grow_tree(presorted, ds.y, counts, MAX_DEPTH, MIN_LEAF)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
 
@@ -470,12 +472,13 @@ X_KINDS = ["continuous", "integer", "rounded", "duplicated", "mixed"]
 
 
 def grower_cases(seed, x_kind):
-    """Yield 20 random (xmat, y, max_depth, min_leaf) grower inputs of one kind.
+    """Yield 20 random (xmat, y, counts, max_depth, min_leaf) grower inputs of one kind.
 
-    "continuous" has no ties and "duplicated" ties only identical rows, as a
-    bootstrap sample does. With two features the ties of "integer",
-    "rounded" and "mixed" (integer feature 0, continuous feature 1) join
-    rows that differ in the other feature.
+    The sample is counts[j] copies of training row j. "duplicated" takes
+    the counts of a bootstrap, so it ties only identical rows; the other
+    kinds take one copy of each row. "continuous" has no ties. With two
+    features the ties of "integer", "rounded" and "mixed" (integer feature
+    0, continuous feature 1) join rows that differ in the other feature.
     """
     rng = np.random.default_rng(seed)
     for case in range(20):
@@ -490,20 +493,22 @@ def grower_cases(seed, x_kind):
         y = xmat.sum(axis=1) + rng.standard_normal(n)
         if case % 4 >= 2:
             y = np.round(y)
+        counts = np.ones(n, dtype=np.int64)
         if x_kind == "duplicated":
-            boot = rng.integers(0, n, size=n)
-            xmat, y = xmat[boot], y[boot]
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         min_leaf, max_depth = int(rng.integers(1, 8)), int(rng.integers(1, 9))
-        yield xmat, y, max_depth, min_leaf
+        yield xmat, y, counts, max_depth, min_leaf
 
 
 @pytest.mark.parametrize("seed,x_kind", enumerate(X_KINDS))
 def test_grower_matches_the_per_feature_reference(seed, x_kind):
-    # The tied kinds pin the tie order: by value, then by position in the
-    # sample, at every node.
-    for case, (xmat, y, max_depth, min_leaf) in enumerate(grower_cases(seed, x_kind)):
-        tree = _grow_tree(xmat, y, max_depth, min_leaf)
-        want = reference_tree(xmat, y, max_depth, min_leaf)
+    # The reference grows on the sample written out in training-row order,
+    # so the tied kinds pin the tie order: by value, then by training-row
+    # index, at every node.
+    for case, (xmat, y, counts, max_depth, min_leaf) in enumerate(grower_cases(seed, x_kind)):
+        tree = _grow_tree(_presort(xmat), y, counts, max_depth, min_leaf)
+        sample = np.repeat(np.arange(y.shape[0]), counts)
+        want = reference_tree(xmat[sample], y[sample], max_depth, min_leaf)
         for name, expected in zip(("feature", "threshold", "left", "right", "value"), want):
             assert np.array_equal(getattr(tree, name), expected), (case, name)
 
@@ -526,8 +531,8 @@ def test_traversal_matches_the_compacting_reference(seed, x_kind):
     # Probe rows: the training rows, fresh draws, and rows whose features
     # are NaN (goes right) or +-inf, alone and next to a finite value.
     rng = np.random.default_rng(100 + seed)
-    for xmat, y, max_depth, min_leaf in grower_cases(seed, x_kind):
-        tree = _grow_tree(xmat, y, max_depth, min_leaf)
+    for xmat, y, counts, max_depth, min_leaf in grower_cases(seed, x_kind):
+        tree = _grow_tree(_presort(xmat), y, counts, max_depth, min_leaf)
         d = xmat.shape[1]
         special = np.array([np.nan, np.inf, -np.inf, 0.0])
         odd = np.array(np.meshgrid(*[special] * d)).reshape(d, -1).T
@@ -563,7 +568,7 @@ def test_split_applies_the_scored_partition_between_adjacent_floats():
     assert 0.5 * (a + b) == b
     xmat = np.array([a] * 5 + [b] * 5 + [2.0] * 5)[:, None]
     y = np.array([0.0] * 5 + [10.0] * 10)
-    tree = _grow_tree(xmat, y, max_depth=1, min_leaf=5)
+    tree = _grow_tree(_presort(xmat), y, np.ones(15, dtype=np.int64), max_depth=1, min_leaf=5)
     assert tree.feature[0] == 0
     assert a <= tree.threshold[0] < b
     assert tree.value[tree.left[0]] == 0.0
