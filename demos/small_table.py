@@ -42,8 +42,10 @@ def main():
     print("  mean of any quadratic under this mixture.")
     print("* polynomial / x1_only: the short fit's slope against the")
     print("  quadratic part is zero here, so the group errors are huge.")
-    print("* forest / x1_only: no closed form, the audit still shows the")
-    print("  omitted feature surfacing as opposite-signed group errors.")
+    print("* forest rows: audited out of bag, each row scored only by the")
+    print("  trees that did not train on it. No closed form is attached. On")
+    print("  x1_only the group errors sit near +1 and -1: here E[Y | X1] is")
+    print("  X1, so even the best predictor from X1 alone has the gap -2.")
 
 
 if __name__ == "__main__":

@@ -4,17 +4,15 @@ The maximum-likelihood fits use damped Newton with analytic gradients and
 Hessians (start at zero, step-halving line search, hard iteration cap); the
 forest is bagged CART with a variance-reduction split criterion. One pass
 over a forked process pool grows each tree and scores the training rows
-with it, so a forest fit carries its own in-sample scores. A fit sorts
-each feature of the training rows once; a tree repeats each sorted row by
-its bootstrap count at its root and stably partitions the sorted rows down
-to the children.
+its bootstrap left out, so a forest fit carries its own out-of-bag scores
+(Breiman, 1996). A fit sorts each feature once; a tree repeats each sorted
+row by its bootstrap count and stably partitions the lists down the tree.
 scipy supplies only scalar numerics primitives (normal CDF, log CDF,
 logistic), never the fitting itself.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import multiprocessing
 import os
@@ -25,7 +23,9 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
 from .dgp import Dataset, derive_seed
-from .exceptions import ConfigError, ConvergenceError, RankDeficiencyError, SeparationError
+from .exceptions import (
+    BiaslabError, ConfigError, ConvergenceError, RankDeficiencyError, SeparationError
+)
 
 FEATURE_SETS = ("both", "x1_only")
 
@@ -83,8 +83,10 @@ class Tree:
 class FittedModel:
     """A fitted predictor: coefficients for ols/probit/logit, trees for forest.
 
-    A forest also carries ``fitted``, its scores on the rows it was fitted
-    to, equal byte for byte to ``predict`` on those rows.
+    A forest also carries ``fitted``, the out-of-bag score of each row it
+    was fitted to: the mean over the trees whose bootstrap left the row
+    out. It differs from ``predict`` on those rows, which averages all
+    trees, each row's own outcome included.
     """
 
     family: str
@@ -248,27 +250,17 @@ def fit_logit(data: Dataset, features: str) -> FittedModel:
 
 
 def _presort(xmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's row ids in (value, row id) order, and the sorted values.
-
-    One stable argsort per feature; every tree of a forest starts from it.
-    """
+    """Each feature's row ids in (value, row id) order, and the sorted values."""
     xt = np.ascontiguousarray(xmat.T)  # feature-major: one sorted list per feature
     order = np.argsort(xt, axis=1, kind="stable")
     return order, np.take_along_axis(xt, order, axis=1)
 
 
-def _grow_tree(
-    presorted: tuple[np.ndarray, np.ndarray],
-    y: np.ndarray,
-    counts: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-) -> Tree:
+def _grow_tree(presorted, y: np.ndarray, counts: np.ndarray, max_depth: int, min_leaf: int) -> Tree:
     """CART regression tree: greedy variance-reduction splits, depth-capped.
 
-    The sample is ``counts[j]`` copies of training row j, whose outcome is
-    ``y[j]`` and whose features ``presorted`` (from ``_presort``) holds in
-    sorted order; a bootstrap's counts are the bincount of its draws.
+    The sample is ``counts[j]`` copies of training row j, whose features
+    ``presorted`` (from ``_presort``) holds in sorted order.
 
     A split's cost is -(ls^2/k + rs^2/(m-k)) for left and right sums ls, rs
     of k and m-k rows: the children's summed squared deviations less the
@@ -280,12 +272,12 @@ def _grow_tree(
     so the applied split is always the scored one.
 
     The root's list for each feature repeats each presorted row id by its
-    count, so it is in (value, training row id) order with the copies of a
-    row side by side. A split passes each child its side of every sorted
-    list, in the parent's order (a stable partition by one reused "goes
-    left" array over the training rows: copies of a row are identical, so
-    they all go the same way), so every node's lists keep that order. The
-    root's value sums y over the sample in training-row order.
+    count, so it is in (value, training row id) order. A split passes each
+    child its side of every sorted list, in the parent's order (a stable
+    partition by one reused "goes left" array over the training rows;
+    copies of a row are identical, so they go the same way), so every
+    node's lists keep that order. The root's value sums y over the sample
+    in training-row order.
     """
     order, xs = presorted
     n_features, n = order.shape
@@ -346,35 +338,18 @@ def _set_worker_inputs(inputs) -> None:
     _worker_inputs = inputs
 
 
-def _apply(task, item):
-    return task(item, _worker_inputs)
+def _fit_tree(t: int) -> tuple[Tree, np.ndarray, np.ndarray]:
+    """Grow tree t on its bootstrap sample and score the rows it left out.
 
-
-def _pool_map(task, items, inputs):
-    """Yield task(item, inputs) for each item, in item order.
-
-    The items run on a pool of forked workers, one per core this process
-    may use (at most one per item). Each worker inherits ``inputs`` through
-    the fork, so only the items and the results are pickled.
+    Returns the tree, the ids of its out-of-bag training rows and their scores.
     """
-    workers = min(len(os.sched_getaffinity(0)), len(items))
-    with ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_worker_inputs,
-        initargs=(inputs,),
-    ) as pool:
-        yield from pool.map(functools.partial(_apply, task), items)
-
-
-def _fit_tree(t: int, inputs) -> tuple[Tree, np.ndarray]:
-    """Grow tree t on its bootstrap sample and score all the rows with it."""
-    x, y, presorted, seed = inputs
+    x, y, presorted, seed = _worker_inputs
     n = y.shape[0]
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
     tree = _grow_tree(presorted, y, counts, MAX_DEPTH, MIN_LEAF)
-    return tree, _tree_predict(tree, x)
+    oob = np.flatnonzero(counts == 0)
+    return tree, oob, _tree_predict(tree, x[oob])
 
 
 def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
@@ -383,8 +358,13 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     Each tree trains on a full-size bootstrap resample drawn from its own
     counter-derived substream, so the ensemble is identical regardless of
     the order trees are built in or the number of workers building them.
-    The worker that grows a tree also scores the training rows with it, and
-    ``fitted`` sums those scores in tree order as ``predict`` does.
+    The trees grow on a pool of forked workers, one per usable core (at
+    most one per tree), which inherit the rows and their presort.
+
+    The worker that grows a tree also scores the rows its bootstrap left
+    out. ``fitted`` holds each row's out-of-bag score: its scores summed in
+    tree order over the number of trees that left it out. A row that every
+    tree drew raises BiaslabError.
     """
     # trees do not use an intercept
     x = np.ascontiguousarray(_design(data.x1, data.x2, features)[:, 1:])
@@ -392,14 +372,24 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
         raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
-    grown = _pool_map(_fit_tree, range(N_TREES), (x, y, _presort(x), seed))
-    tree, total = next(grown)
-    trees = [tree]
-    for tree, scores in grown:
-        trees.append(tree)
-        total += scores
+    trees, total, oob_trees = [], np.zeros(n), np.zeros(n, dtype=np.int64)
+    with ProcessPoolExecutor(
+        min(len(os.sched_getaffinity(0)), N_TREES),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_worker_inputs,
+        initargs=((x, y, _presort(x), seed),),
+    ) as pool:
+        for tree, oob, scores in pool.map(_fit_tree, range(N_TREES)):
+            trees.append(tree)
+            total[oob] += scores
+            oob_trees[oob] += 1
+    if not oob_trees.all():
+        raise BiaslabError(
+            "%d of %d rows are in every tree's bootstrap and have no out-of-bag score"
+            % (np.count_nonzero(oob_trees == 0), n)
+        )
     return FittedModel(
-        family="forest", features=features, forest=tuple(trees), fitted=total / N_TREES
+        family="forest", features=features, forest=tuple(trees), fitted=total / oob_trees
     )
 
 
@@ -436,9 +426,10 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     x1_only models.
 
     A forest's score is its trees' scores, summed serially in tree order,
-    over the tree count: on the training rows the bytes of ``fitted``, and
-    for two or more rows bit-identical to numpy's axis-0 mean of the
-    stacked scores, which for one row sums pairwise (last bit).
+    over the tree count: for two or more rows bit-identical to numpy's
+    axis-0 mean of the stacked scores, which for one row sums pairwise
+    (last bit). On the training rows this is the in-sample score; the
+    out-of-bag one is the model's ``fitted``.
     """
     if model.family == "forest":
         xmat = np.ascontiguousarray(_design(x1, x2, model.features)[:, 1:])

@@ -198,7 +198,7 @@ def analytic_for_cell(cell: ExperimentCell) -> tuple[GroupErrorPrediction | None
 def run_replication(cell: ExperimentCell, seed: int) -> ErrorReport:
     """Generate one dataset, fit the cell's model, audit score vs truth.
 
-    A forest is audited on the training-row scores its fit already made.
+    A forest is audited on the out-of-bag scores its fit already made.
     """
     dataset = generate(cell.dgp, seed)
     if cell.model == "ols":

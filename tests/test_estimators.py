@@ -23,7 +23,7 @@ from biaslab.estimators import (
     fit_probit,
     predict,
 )
-from biaslab.exceptions import RankDeficiencyError, SeparationError
+from biaslab.exceptions import BiaslabError, RankDeficiencyError, SeparationError
 
 from conftest import independent_mixture, make_mixture
 
@@ -374,6 +374,51 @@ def test_pooled_forest_equals_trees_grown_one_by_one(features):
             assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
 
 
+def out_of_bag_reference(model, x, seed):
+    """Each row's out-of-bag score, rebuilt row by row in tree order.
+
+    Tree t's bootstrap is re-drawn from derive_seed(seed, "tree", t); each
+    row it left out adds that tree's score, and the sum is divided by the
+    number of such trees.
+    """
+    n = x.shape[0]
+    sums, trees = [0.0] * n, [0] * n
+    for t, tree in enumerate(model.forest):
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
+        drawn = set(rng.integers(0, n, size=n).tolist())
+        scores = _tree_predict(tree, x)
+        for j in range(n):
+            if j not in drawn:
+                sums[j] += float(scores[j])
+                trees[j] += 1
+    return np.array([total / count for total, count in zip(sums, trees)])
+
+
+@pytest.mark.parametrize("features", ["both", "x1_only"])
+def test_forest_fitted_is_each_rows_out_of_bag_mean(features):
+    ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=23)
+    model = fit_forest(ds, features, seed=10)
+    x = np.column_stack([ds.x1, ds.x2] if features == "both" else [ds.x1])
+    assert model.fitted.tobytes() == out_of_bag_reference(model, x, 10).tobytes()
+    # no row's own outcome trains the trees that score it
+    assert not np.array_equal(model.fitted, predict(model, ds.x1, ds.x2))
+
+
+def test_a_row_that_no_tree_leaves_out_is_refused(monkeypatch):
+    from biaslab import experiment
+
+    monkeypatch.setattr(estimators, "N_TREES", 1)
+    ds = dataset("linear", (-2.0, 1.0, 1.0), n=60, seed=25)
+    with pytest.raises(BiaslabError, match="no out-of-bag score"):
+        fit_forest(ds, "x1_only", seed=12)
+    spec = DgpSpec(family="linear", beta=(-2.0, 1.0, 1.0), mixture=REFERENCE, n_per_group=60)
+    cell = experiment.ExperimentCell(dgp=spec, model="forest", features="x1_only")
+    row = experiment.run_cell(cell, 0, experiment.ExperimentConfig(cells=(cell,), replications=2))
+    assert row.verdict == "error"
+    assert "BiaslabError" in row.error and "no out-of-bag score" in row.error
+    assert math.isnan(row.tau)
+
+
 def record_pools(monkeypatch):
     """Replace the pool class with one that logs each pool's worker count."""
     pools = []
@@ -395,9 +440,7 @@ def test_forest_is_the_same_for_any_worker_count(monkeypatch):
         monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid, k=cores: set(range(k)))
         model = fit_forest(ds, "both", seed=11)
         trees = [tuple(a.tobytes() for a in vars(tree).values()) for tree in model.forest]
-        scores = predict(model, ds.x1, ds.x2).tobytes()
-        assert model.fitted.tobytes() == scores
-        runs.append((trees, scores))
+        runs.append((trees, model.fitted.tobytes(), predict(model, ds.x1, ds.x2).tobytes()))
     # predict scores serially: the fit's pool is the only one
     assert pools == [1, 3]
     assert runs[0] == runs[1]
@@ -413,8 +456,9 @@ def test_a_forest_replication_opens_one_pool_and_audits_the_fitted_scores(monkey
     report = experiment.run_replication(cell, seed=7)
     assert len(pools) == 1
     ds = generate(spec, 7)
-    model = fit_forest(ds, "x1_only", seed=derive_seed(7, "forest"))
-    assert report == error_report(predict(model, ds.x1), ds.y, ds.a)
+    seed = derive_seed(7, "forest")
+    model = fit_forest(ds, "x1_only", seed=seed)
+    assert report == error_report(out_of_bag_reference(model, ds.x1[:, None], seed), ds.y, ds.a)
 
 
 def reference_tree(xmat, y, max_depth, min_leaf):
