@@ -249,24 +249,29 @@ def fit_logit(data: Dataset, features: str) -> FittedModel:
     return _fit_mle(data, features, _LogitLink, "logit")
 
 
-def _presort(xmat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each feature's row ids in (value, row id) order, and the sorted values."""
-    xt = np.ascontiguousarray(xmat.T)  # feature-major: one sorted list per feature
-    order = np.argsort(xt, axis=1, kind="stable")
-    return order, np.take_along_axis(xt, order, axis=1)
+def _presort(xmat: np.ndarray) -> np.ndarray:
+    """Each feature's row ids in (value, row id) order: one stable argsort per feature."""
+    return np.argsort(xmat.T, axis=1, kind="stable")
 
 
-def _grow_tree(presorted, y: np.ndarray, counts: np.ndarray, max_depth: int, min_leaf: int) -> Tree:
+def _grow_tree(
+    xmat: np.ndarray,
+    order: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    max_depth: int,
+    min_leaf: int,
+) -> Tree:
     """CART regression tree: greedy variance-reduction splits, depth-capped.
 
-    The sample is ``counts[j]`` copies of training row j, whose features
-    ``presorted`` (from ``_presort``) holds in sorted order.
+    The sample is ``counts[j]`` copies of training row j (features
+    ``xmat[j]``, outcome ``y[j]``); ``order`` is ``_presort(xmat)``.
 
-    A split's cost is -(ls^2/k + rs^2/(m-k)) for left and right sums ls, rs
-    of k and m-k rows: the children's summed squared deviations less the
-    node's sum of squares, which is the same for every split. Each node
+    A split's gain is ls^2/k + rs^2/(m-k) for left and right sums ls, rs
+    of k and m-k rows: the node's sum of squares, which is the same for
+    every split, less the children's summed squared deviations. Each node
     scores every (feature, left size) pair in one pass and takes the first
-    minimum: ties go to the lower feature, then the smaller left
+    maximum: ties go to the lower feature, then the smaller left
     child. The threshold is the midpoint of the two values the split falls
     between, or the lower one where the midpoint rounds up to the upper,
     so the applied split is always the scored one.
@@ -279,11 +284,11 @@ def _grow_tree(presorted, y: np.ndarray, counts: np.ndarray, max_depth: int, min
     node's lists keep that order. The root's value sums y over the sample
     in training-row order.
     """
-    order, xs = presorted
     n_features, n = order.shape
-    reps = counts[order].ravel()
-    order, xs = (np.repeat(a.ravel(), reps).reshape(n_features, -1) for a in (order, xs))
+    order = np.repeat(order.ravel(), counts[order].ravel()).reshape(n_features, -1)
+    xs = np.take_along_axis(xmat.T, order, axis=1)
     goes_left = np.zeros(n, dtype=bool)
+    sizes = np.arange(order.shape[1] + 1, dtype=float)  # sizes[k] == k, a float divisor
     nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
     # node, its y; the parent's sorted lists and this node's mask of them
     stack = [(0, np.repeat(y, counts), order, xs, None, 0)]
@@ -298,13 +303,13 @@ def _grow_tree(presorted, y: np.ndarray, counts: np.ndarray, max_depth: int, min
         ys = y[order]
         csum = np.cumsum(ys, axis=1)
         hi = m - min_leaf
-        sizes = np.arange(min_leaf, hi + 1)  # left child sizes
         ls = csum[:, min_leaf - 1 : hi]
         rs = csum[:, -1:] - ls
-        cost = -(ls * ls / sizes + rs * rs / (m - sizes))
-        cost = np.where(xs[:, min_leaf - 1 : hi] < xs[:, min_leaf : hi + 1], cost, np.inf)
-        f, i = divmod(int(np.argmin(cost)), cost.shape[1])
-        if cost[f, i] == np.inf:
+        # left sizes k run up from min_leaf, right sizes m - k down from hi
+        gain = ls * ls / sizes[min_leaf : hi + 1] + rs * rs / sizes[hi : min_leaf - 1 : -1]
+        gain = np.where(xs[:, min_leaf - 1 : hi] < xs[:, min_leaf : hi + 1], gain, -np.inf)
+        f, i = divmod(int(np.argmax(gain)), gain.shape[1])
+        if gain[f, i] == -np.inf:
             continue
         i += min_leaf
         below, above = float(xs[f, i - 1]), float(xs[f, i])
@@ -343,11 +348,11 @@ def _fit_tree(t: int) -> tuple[Tree, np.ndarray, np.ndarray]:
 
     Returns the tree, the ids of its out-of-bag training rows and their scores.
     """
-    x, y, presorted, seed = _worker_inputs
+    x, y, order, seed = _worker_inputs
     n = y.shape[0]
     rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "tree", t)))
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    tree = _grow_tree(presorted, y, counts, MAX_DEPTH, MIN_LEAF)
+    tree = _grow_tree(x, order, y, counts, MAX_DEPTH, MIN_LEAF)
     oob = np.flatnonzero(counts == 0)
     return tree, oob, _tree_predict(tree, x[oob])
 

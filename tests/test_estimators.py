@@ -364,12 +364,12 @@ def test_pooled_forest_equals_trees_grown_one_by_one(features):
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=150, seed=22)
     model = fit_forest(ds, features, seed=9)
     x = np.column_stack([ds.x1, ds.x2] if features == "both" else [ds.x1])
-    presorted = _presort(x)
+    order = _presort(x)
     assert len(model.forest) == N_TREES
     for t, tree in enumerate(model.forest):
         rng = np.random.Generator(np.random.Philox(key=derive_seed(9, "tree", t)))
         counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
-        want = _grow_tree(presorted, ds.y, counts, MAX_DEPTH, MIN_LEAF)
+        want = _grow_tree(x, order, ds.y, counts, MAX_DEPTH, MIN_LEAF)
         for name in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
 
@@ -550,7 +550,7 @@ def test_grower_matches_the_per_feature_reference(seed, x_kind):
     # so the tied kinds pin the tie order: by value, then by training-row
     # index, at every node.
     for case, (xmat, y, counts, max_depth, min_leaf) in enumerate(grower_cases(seed, x_kind)):
-        tree = _grow_tree(_presort(xmat), y, counts, max_depth, min_leaf)
+        tree = _grow_tree(xmat, _presort(xmat), y, counts, max_depth, min_leaf)
         sample = np.repeat(np.arange(y.shape[0]), counts)
         want = reference_tree(xmat[sample], y[sample], max_depth, min_leaf)
         for name, expected in zip(("feature", "threshold", "left", "right", "value"), want):
@@ -576,7 +576,7 @@ def test_traversal_matches_the_compacting_reference(seed, x_kind):
     # are NaN (goes right) or +-inf, alone and next to a finite value.
     rng = np.random.default_rng(100 + seed)
     for xmat, y, counts, max_depth, min_leaf in grower_cases(seed, x_kind):
-        tree = _grow_tree(_presort(xmat), y, counts, max_depth, min_leaf)
+        tree = _grow_tree(xmat, _presort(xmat), y, counts, max_depth, min_leaf)
         d = xmat.shape[1]
         special = np.array([np.nan, np.inf, -np.inf, 0.0])
         odd = np.array(np.meshgrid(*[special] * d)).reshape(d, -1).T
@@ -612,7 +612,7 @@ def test_split_applies_the_scored_partition_between_adjacent_floats():
     assert 0.5 * (a + b) == b
     xmat = np.array([a] * 5 + [b] * 5 + [2.0] * 5)[:, None]
     y = np.array([0.0] * 5 + [10.0] * 10)
-    tree = _grow_tree(_presort(xmat), y, np.ones(15, dtype=np.int64), max_depth=1, min_leaf=5)
+    tree = _grow_tree(xmat, _presort(xmat), y, np.ones(15, dtype=np.int64), 1, 5)
     assert tree.feature[0] == 0
     assert a <= tree.threshold[0] < b
     assert tree.value[tree.left[0]] == 0.0
