@@ -400,7 +400,7 @@ def test_forest_fitted_is_each_rows_out_of_bag_mean(features):
     model = fit_forest(ds, features, seed=10)
     x = np.column_stack([ds.x1, ds.x2] if features == "both" else [ds.x1])
     assert model.fitted.tobytes() == out_of_bag_reference(model, x, 10).tobytes()
-    # no row's own outcome trains the trees that score it
+    # predict averages every tree, so on the training rows it scores in sample
     assert not np.array_equal(model.fitted, predict(model, ds.x1, ds.x2))
 
 
