@@ -4,10 +4,11 @@ A reduced run of the full experiment grid.
 
 The experiment runner crosses data-generating processes with model
 families and feature sets, repeats each cell over seeded replications,
-audits the per-group prediction errors, and attaches closed-form
-predictions wherever one exists. This script runs the standard ten-cell
-grid at two replications so it finishes in seconds, prints the markdown
-table, and points out what to look for in each block of rows.
+audits the per-group prediction errors, and compares every parametric
+cell with the population limit of its own fit. This script runs the
+standard ten-cell grid at two replications so it finishes in seconds,
+prints the markdown table, and points out what to look for in each block
+of rows.
 
 The full-size run (thirty replications) is:  biaslab table1
 """
@@ -30,20 +31,22 @@ def main():
     print("Reading guide")
     print("-" * 64)
     print("* rows fitted with both features: errors are zero up to noise;")
-    print("  the csv format adds closed-form columns and a verdict that")
-    print("  checks the match (biaslab table1 --format csv).")
-    print("* linear / x1_only: group errors +1 and -1 with gap -2, matching")
-    print("  the attached closed form exactly in expectation.")
-    print("* logit and probit / x1_only: opposite-signed group errors, no")
-    print("  closed form attached here because the within-group covariances")
-    print("  violate the independence the probit formula needs.")
+    print("  the csv format adds each cell's population limit and a verdict")
+    print("  that checks the match (biaslab table1 --format csv).")
+    print("* linear / x1_only: group errors +1 and -1 with gap -2, the")
+    print("  omitted-variable closed form, which is that fit's limit.")
+    print("* logit and probit / x1_only: opposite-signed group errors. The")
+    print("  limits are +0.172/-0.172 (logit) and +0.212/-0.209 (probit);")
+    print("  the probit closed form does not apply, as the within-group")
+    print("  covariances violate the independence it needs.")
     print("* polynomial / both: the quadratic outcome still has group-mean")
     print("  errors of zero, a two-feature linear fit matches every group")
     print("  mean of any quadratic under this mixture.")
     print("* polynomial / x1_only: the short fit's slope against the")
-    print("  quadratic part is zero here, so the group errors are huge.")
+    print("  quadratic part is zero here, so the group errors are huge:")
+    print("  +4.5 and -4.5 in the limit.")
     print("* forest rows: audited out of bag, each row scored only by the")
-    print("  trees that did not train on it. No closed form is attached. On")
+    print("  trees that did not train on it. No limit is attached. On")
     print("  x1_only the group errors sit near +1 and -1: here E[Y | X1] is")
     print("  X1, so even the best predictor from X1 alone has the gap -2.")
 

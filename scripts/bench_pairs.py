@@ -10,8 +10,10 @@ of ``BENCHMARK.json``,
     python3 benchmarks/run.py --workload W --seed S --seconds 25 --trace 0
 
 once in each tree for every workload it lists, ten pairs each, the parent
-first in even pairs and the change first in odd ones. Then one default
-``biaslab table1`` per side is timed. The file goes to the repository root,
+first in even pairs and the change first in odd ones. Then three pairs of
+default ``biaslab table1`` runs alternate the same way; each run's seconds
+and exit code, whether the pair wrote the same bytes, and each side's median
+seconds are kept. The file goes to the repository root,
 named after HEAD's short sha, and holds per side and metric the median,
 quartiles, count and values, the pairs each side won, both shas, and the
 Python, numpy and scipy versions and usable core count that run.py reports.
@@ -32,6 +34,7 @@ from pathlib import Path
 
 SIDES = ("parent", "change")
 PAIRS = 10
+TABLE1_PAIRS = 3
 # The keys of run.py's environment line that a BENCH file keeps; nproc is
 # the usable core count.
 ENVIRONMENT = ("python", "numpy", "scipy", "nproc")
@@ -128,6 +131,19 @@ def time_table1(tree: Path, out: Path) -> dict:
     return {"seconds": time.perf_counter() - started, "exit": done.returncode}
 
 
+def table1_summary(pairs: list[dict]) -> dict:
+    """The table1 pairs and each side's median seconds.
+
+    Each pair maps "parent" and "change" to a ``time_table1`` result and
+    "same_bytes" to whether the two runs wrote the same file.
+    """
+    medians = {
+        side: {"median_seconds": statistics.median(pair[side]["seconds"] for pair in pairs)}
+        for side in SIDES
+    }
+    return {"pairs": pairs, **medians}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, required=True)
@@ -163,10 +179,16 @@ def main(argv=None) -> int:
                 pairs.append(pair)
                 print("%s pair %d: %s" % (workload, index + 1, json.dumps(pair)), flush=True)
             record["workloads"][workload] = {"seed": args.seed, **summarise(pairs, better)}
-        outputs = {side: Path(tmp) / ("table1-%s.md" % side) for side in SIDES}
-        record["table1"] = {side: time_table1(trees[side], outputs[side]) for side in SIDES}
-        same = outputs["parent"].read_bytes() == outputs["change"].read_bytes()
-        record["table1"]["same_bytes"] = same
+        table1 = []
+        for index in range(TABLE1_PAIRS):
+            outputs = {side: Path(tmp) / ("table1-%s.md" % side) for side in SIDES}
+            pair = {}
+            for side in SIDES if index % 2 == 0 else SIDES[::-1]:
+                pair[side] = time_table1(trees[side], outputs[side])
+            pair["same_bytes"] = outputs["parent"].read_bytes() == outputs["change"].read_bytes()
+            table1.append(pair)
+            print("table1 pair %d: %s" % (index + 1, json.dumps(pair)), flush=True)
+        record["table1"] = table1_summary(table1)
     path = root / ("BENCH_%s.json" % head[:7])
     path.write_text(json.dumps(record, indent=1) + "\n")
     print("wrote %s" % path)

@@ -9,18 +9,13 @@ from the Gaussian identity
 
 Unlike the linear closed forms these are not distribution-free: they assume
 within-group independence of X1 and X2 and a common Var(X2) across groups,
-and they plug the pooled mean of X2 and the within-group Var(X2) into a
-formula derived for Gaussian X2. When the groups' X2 means differ, which is
-the only case with nonzero group errors, the pooled X2 is a two-component
-mixture with a larger variance, and a probit fitted on the pooled population
-converges elsewhere. Against that exact population limit, found by
-quadrature over X1 within each group and a maximised population
-log-likelihood, the closed form's two group levels carry a common shift:
-0.030 on group means (1, 1) and (1, 3) with identity covariances and
-beta = (-2, 1, 1), where the limit's errors are (+0.188, -0.188) and the
-formula's (+0.218, -0.158). The group gap tau is exact whenever both groups
-share X1's law, because the short model's mean score is then the same in
-both groups and cancels from b_1 - b_0.
+and plug the pooled mean of X2 into a formula derived for Gaussian X2. When
+the groups' X2 means differ, the pooled X2 is a mixture, and the short
+probit's population limit (estimators._population_errors) sits a common
+0.030 below both group levels on group means (1, 1) and (1, 3) with
+identity covariances and beta = (-2, 1, 1): errors (+0.188, -0.188) against
+the formula's (+0.218, -0.158). tau is exact whenever both groups share
+X1's law, as the short model's mean score then cancels from b_1 - b_0.
 
 Error sign convention: e = Yhat - Y.
 """
@@ -130,12 +125,9 @@ def omitted_group_errors_probit(
               - Phi((beta0 + beta1*mu1a + beta2*mu2a) / D_a)
 
     b_pop is reported as the weighted group combination. When the groups'
-    X2 means differ, the pooled X2 is a two-component mixture rather than
-    the Gaussian the derivation assumes, and b_group0 and b_group1 are both
-    shifted from the population limit of the fitted short probit by a
-    common amount (0.030 in the module docstring's example, where this
-    b_pop is 0.030 and the limit's is 1e-4). tau is exact when both groups
-    share X1's law, since the shift cancels from it.
+    X2 means differ, both group levels are shifted from the short probit's
+    population limit by a common amount (see the module docstring); tau is
+    exact when both groups share X1's law.
 
     Raises
     ------

@@ -140,21 +140,16 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     )
 
 
-def compare(
-    analytic: GroupErrorPrediction,
-    empirical: ErrorReport,
-    extra_tolerance: float = 0.0,
-) -> dict[str, float]:
-    """Z-score of each statistic, (empirical - analytic) / denom, by name.
+def compare(analytic: GroupErrorPrediction, empirical: ErrorReport) -> dict[str, float]:
+    """Z-score of each statistic, (empirical - analytic) / SE, by name.
 
-    denom is the statistic's SE with ``extra_tolerance`` added in
-    quadrature; the extra term absorbs known approximation error in the
-    analytic value (zero by default). A zero denom gives z = 0 where the
-    two values agree exactly and inf otherwise.
+    The analytic value is the population limit of the fit, so no slack is
+    added to the SE. A zero SE gives z = 0 where the two values agree
+    exactly and inf otherwise.
     """
     z_scores = {}
     for name, se in _SE_OF.items():
-        denom = math.hypot(getattr(empirical, se), extra_tolerance)
+        denom = getattr(empirical, se)
         diff = getattr(empirical, name) - getattr(analytic, name)
         if denom == 0.0:
             z_scores[name] = 0.0 if diff == 0.0 else math.inf

@@ -130,15 +130,15 @@ class Dataset:
         return self.x1.shape[0]
 
 
-def _index(beta: tuple[float, ...], x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    return beta[0] + beta[1] * x1 + beta[2] * x2
-
-
-def _regression_mean(spec: DgpSpec, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    h = _index(spec.beta, x1, x2)
-    if spec.family == "polynomial":
-        b = spec.beta
-        h = h + b[3] * x1 * x1 + b[4] * x2 * x2 + b[5] * x1 * x2
+def conditional_mean(family: str, beta, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """E[Y | X1, X2]: the regression mean, or the probit or logit risk."""
+    h = beta[0] + beta[1] * x1 + beta[2] * x2
+    if family == "polynomial":
+        h = h + beta[3] * x1 * x1 + beta[4] * x2 * x2 + beta[5] * x1 * x2
+    if family == "probit":
+        return ndtr(h)
+    if family == "logit":
+        return expit(h)
     return h
 
 
@@ -165,12 +165,8 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
     x2 = features[:, 1].copy()
     a = np.repeat(np.array([0, 1], dtype=np.int64), sizes)
 
+    y = conditional_mean(spec.family, spec.beta, x1, x2)
     if spec.family in REGRESSION_FAMILIES:
-        noise = rng.standard_normal(n)
-        y = _regression_mean(spec, x1, x2) + noise
-        return Dataset(x1=x1, x2=x2, a=a, y=y, z=None)
-
-    index = _index(spec.beta, x1, x2)
-    y = ndtr(index) if spec.family == "probit" else expit(index)
+        return Dataset(x1=x1, x2=x2, a=a, y=y + rng.standard_normal(n), z=None)
     z = (rng.random(n) < y).astype(np.int64)
     return Dataset(x1=x1, x2=x2, a=a, y=y, z=z)

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtr
 
-from .dgp import Dataset, derive_seed
+from .dgp import Dataset, DgpSpec, conditional_mean, derive_seed
 from .exceptions import (
-    BiaslabError, ConfigError, ConvergenceError, RankDeficiencyError, SeparationError
+    BiaslabError, ConfigError, ConvergenceError, DegenerateVarianceError, RankDeficiencyError,
+    SeparationError,
 )
 
 FEATURE_SETS = ("both", "x1_only")
@@ -139,8 +140,8 @@ class _ProbitLink:
     """
 
     @staticmethod
-    def loglik(eta: np.ndarray, z: np.ndarray) -> float:
-        return float(np.sum(log_ndtr((2.0 * z - 1.0) * eta)))
+    def loglik(eta: np.ndarray, z, weights=1.0) -> float:
+        return float(np.sum(weights * log_ndtr((2.0 * z - 1.0) * eta)))
 
     @staticmethod
     def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -154,8 +155,8 @@ class _LogitLink:
     """Bernoulli log-likelihood pieces for risk = S(index)."""
 
     @staticmethod
-    def loglik(eta: np.ndarray, z: np.ndarray) -> float:
-        return float(-np.sum(np.logaddexp(0.0, (1.0 - 2.0 * z) * eta)))
+    def loglik(eta: np.ndarray, z, weights=1.0) -> float:
+        return float(-np.sum(weights * np.logaddexp(0.0, (1.0 - 2.0 * z) * eta)))
 
     @staticmethod
     def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,6 +248,68 @@ def fit_probit(data: Dataset, features: str) -> FittedModel:
 def fit_logit(data: Dataset, features: str) -> FittedModel:
     """Logit MLE of z on an intercept plus the selected features."""
     return _fit_mle(data, features, _LogitLink, "logit")
+
+
+def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float, float]:
+    """Group mean errors of the limit of fit_<model> on ever more rows of spec.
+
+    That limit, the pseudo-true fit (White 1982), fits the model to E[Y | X]
+    over the mixture, by a tensor Gauss-Hermite rule through each group's
+    Cholesky factor: X1 = m1 + l11 t1, X2 = m2 + l21 t1 + l22 t2. For a probit
+    outcome on X1 alone, E[Phi(h) | t1] = Phi(h(X1, m2 + l21 t1) / hypot(1, b2 l22))
+    replaces the t2 axis. ols solves the weighted normal equations; probit and
+    logit run Newton on the score r u(z=1) + (1 - r) u(z=0) at risk r, whose
+    curvature mixes the same way. A singular population covariance of the
+    features raises DegenerateVarianceError.
+    """
+    # 24 Gauss-Hermite nodes for T ~ N(0, 1), E[f(T)] = w @ f(t), by Golub-Welsch
+    s = np.sqrt(np.arange(1.0, 24.0))
+    t, v = np.linalg.eigh(np.diag(s, 1) + np.diag(s, -1))
+    t1, t2, w = t, 0.0 * t, v[0] ** 2
+    one_axis = spec.family == "probit" and features == "x1_only"
+    if not one_axis:
+        t1, t2, w = np.repeat(t, t.size), np.tile(t, t.size), np.outer(w, w).ravel()
+    x1, x2, y = [], [], []
+    for g in spec.mixture.groups:
+        (l11, _), (l21, l22) = g.cholesky()
+        x1.append(g.mean[0] + l11 * t1)
+        x2.append(g.mean[1] + l21 * t1 + l22 * t2)
+        scale = math.hypot(1.0, spec.beta[2] * float(l22)) if one_axis else 1.0
+        y.append(conditional_mean(spec.family, np.divide(spec.beta, scale), x1[-1], x2[-1]))
+    x1, x2, y = np.concatenate(x1), np.concatenate(x2), np.concatenate(y)
+    wts = np.concatenate([p * w for p in spec.mixture.weights])
+    x = _design(x1, x2, features)
+    f = x[:, 1:] - wts @ x[:, 1:]
+    smallest = np.linalg.eigvalsh(f.T @ (f * wts[:, None]))[0]
+    if smallest <= 1e-12:
+        raise DegenerateVarianceError("Var(X1) = %r; the features' population covariance "
+                                      "has eigenvalue %r" % (wts @ f[:, 0] ** 2, smallest))
+    if model == "ols":
+        coef = np.linalg.solve(x.T @ (x * wts[:, None]), x.T @ (wts * y))
+    else:
+        link = _ProbitLink if model == "probit" else _LogitLink
+
+        def loglik(c: np.ndarray) -> float:
+            eta = x @ c
+            return link.loglik(eta, 1.0, wts * y) + link.loglik(eta, 0.0, wts * (1.0 - y))
+
+        coef = np.zeros(x.shape[1])
+        ll = loglik(coef)
+        for _ in range(_MAX_ITER):
+            (u1, w1), (u0, w0) = (link.grad_weights(x @ coef, z) for z in (1.0, 0.0))
+            curvature = x.T @ (x * (wts * (y * w1 + (1.0 - y) * w0))[:, None])
+            step = np.linalg.solve(curvature, x.T @ (wts * (y * u1 + (1.0 - y) * u0)))
+            # Halve a step that lowers the likelihood beyond rounding; an ascent step ends it.
+            while (ll_trial := loglik(coef + step)) < ll - 1e-15 * abs(ll):
+                step = step / 2.0
+            coef, ll = coef + step, ll_trial
+            if np.max(np.abs(step)) <= 1e-10 * max(1.0, np.max(np.abs(coef))):
+                break  # quadratic convergence: the next step would be rounding
+        else:
+            raise ConvergenceError("population %s fit did not converge" % model)
+    fitted = FittedModel(family=model, features=features, coefficients=tuple(coef))
+    gap0, gap1 = np.split(predict(fitted, x1, x2) - y, 2)
+    return float(w @ gap0), float(w @ gap1)
 
 
 def _presort(xmat: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ class BiaslabError(Exception):
 
 
 class DegenerateVarianceError(BiaslabError):
-    """A closed form needs Var(X1) > 0 and the supplied moments have none."""
+    """A closed form or a population fit needs Var(X1) > 0 and the supplied moments have none."""
 
 
 class AssumptionViolationError(BiaslabError):

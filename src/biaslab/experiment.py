@@ -7,17 +7,10 @@ order. Aggregation averages the per-replication statistics in replication
 order with exactly rounded sums; the aggregated tau is recomputed as
 b_group1 - b_group0 so the identity holds for the reported means.
 
-Analytic predictions are attached where a closed form exists:
-
-* correct specification (linear/ols, probit/probit, logit/logit on both
-  features): all-zero errors;
-* linear DGP fit by ols on X1 only: the omitted-variable closed form,
-  exact for any mixture;
-* probit DGP fit by probit on X1 only: the probit closed form, only when
-  its independence/equal-variance assumptions hold, and compared with an
-  extra 0.02 tolerance in quadrature because the pooled X2 is a mixture
-  rather than the Gaussian the derivation assumes. That slack does not
-  cover the closed form's level shift (see PROBIT_MIXTURE_TOLERANCE).
+Each parametric cell is compared with the limit of its own fit, the
+pseudo-true fit of its model on the whole population (White 1982;
+Gourieroux, Monfort & Trognon 1984), which is 0 for a correctly specified
+cell. A forest cell has none. The tests hold the closed forms to it.
 
 ``run_cell`` alone turns audit.compare's z-scores into a verdict, consistent
 iff every scored |z| <= z_threshold. An ols cell's verdict leaves b_pop out:
@@ -26,8 +19,9 @@ error exactly 0, so the emitted b_pop and se_pop are rounding, no z-score.
 
 A config with an unknown or missing key, a non-number where a number
 goes, an invalid covariance, a group with under two rows or a cell whose
-closed form raises (Var(X1) too small) is refused at parse time, as a
-ConfigError from the rule that finds it (a closed form raises its own).
+reference cannot be computed (a pooled Var(X1) too small) is refused at
+parse time, as a ConfigError from the rule that finds it (the reference
+raises its own).
 Cells whose fit raises (separation, rank deficiency, non-convergence) or
 whose audit has a non-finite statistic become "error" rows naming the
 replication and its seed; a run always reports fully.
@@ -39,45 +33,29 @@ import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
-from .analytic_linear import (
-    GroupErrorPrediction,
-    LinearDgpCoefficients,
-    omitted_group_errors,
-)
-from .analytic_probit import ProbitDgpCoefficients, omitted_group_errors_probit
+# The closed forms are not called here; benchmarks/tracing.py wraps them on this module
+# by getattr and the test suite runs benchmarks/tests, so they stay bound.
+from .analytic_linear import GroupErrorPrediction, omitted_group_errors  # noqa: F401
+from .analytic_probit import omitted_group_errors_probit  # noqa: F401
 from .audit import _SE_OF, ErrorReport, compare, error_report, mean_se
-from .dgp import (
-    CLASSIFICATION_FAMILIES,
-    DgpSpec,
-    _SEED_MASK,
-    _count,
-    derive_seed,
-    generate,
-)
+from .dgp import CLASSIFICATION_FAMILIES, DgpSpec, _SEED_MASK, _count, derive_seed, generate
 from .estimators import (
     FEATURE_SETS,
     MIN_LEAF,
     _check_features,
+    _population_errors,
     fit_forest,
     fit_logit,
     fit_ols,
     fit_probit,
     predict,
 )
-from .exceptions import AssumptionViolationError, BiaslabError, ConfigError
+from .exceptions import BiaslabError, ConfigError
 from .moments import GroupGaussianSpec, MixtureSpec, _list, _real
 
 MODELS = ("ols", "probit", "logit", "forest")
 DEFAULT_SEED = 20240914
 DEFAULT_REPLICATIONS = 30
-
-# Slack for the probit closed form when the groups' X2 means differ. It does
-# not cover the closed form's error: its group levels sit a common 0.030 above
-# the population limit of the fitted short probit on group means (1, 1) and
-# (1, 3) with identity covariances, so a correct large-sample fit of such a
-# cell can read inconsistent. Its tau is exact when both groups share X1's
-# law. See biaslab.analytic_probit.
-PROBIT_MIXTURE_TOLERANCE = 0.02
 
 TABLE_BETA = (-2.0, 1.0, 1.0)
 TABLE_BETA_POLY = (-2.0, 1.0, 1.0, 1.0, 1.0, -1.0)
@@ -97,6 +75,8 @@ class ExperimentCell:
     dgp: DgpSpec
     model: str
     features: str
+    # analytic_for_cell(self), evaluated once: a reference it cannot compute refuses the cell
+    analytic: GroupErrorPrediction | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -111,7 +91,7 @@ class ExperimentCell:
             raise ConfigError(
                 "forest cells need n_per_group >= %d, got %d" % (MIN_LEAF, self.dgp.n_per_group)
             )
-        analytic_for_cell(self)  # a closed form's precondition refuses the cell before it runs
+        object.__setattr__(self, "analytic", analytic_for_cell(self))
 
 
 @dataclass(frozen=True)
@@ -172,27 +152,21 @@ _CSV_FIELDS = tuple(name for name in _ROW_FIELDS if name not in ("replications",
 CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
-def analytic_for_cell(cell: ExperimentCell) -> tuple[GroupErrorPrediction | None, float]:
-    """Closed-form prediction for a cell, plus the comparison slack it needs.
+def analytic_for_cell(cell: ExperimentCell) -> GroupErrorPrediction | None:
+    """The group errors a cell's fit converges to; None for a forest.
 
-    Returns (None, 0.0) when no closed form covers the cell (polynomial
-    DGP, forest model, logit omitted-variable, or probit omitted-variable
-    with violated assumptions).
+    A correctly specified cell converges to the truth, so its errors are 0.
+    Any other parametric cell converges to its model's pseudo-true fit on
+    the whole mixture, computed by quadrature (estimators._population_errors).
     """
-    dgp, model, features = cell.dgp.family, cell.model, cell.features
-    correct_spec = (dgp, model) in (("linear", "ols"), ("probit", "probit"), ("logit", "logit"))
-    if features == "both" and correct_spec:
-        return GroupErrorPrediction.of_groups(0.0, 0.0, cell.dgp.mixture), 0.0
-    if features == "x1_only" and dgp == "linear" and model == "ols":
-        beta = LinearDgpCoefficients(*cell.dgp.beta)
-        return omitted_group_errors(beta, cell.dgp.mixture), 0.0
-    if features == "x1_only" and dgp == "probit" and model == "probit":
-        beta = ProbitDgpCoefficients(*cell.dgp.beta)
-        try:
-            return omitted_group_errors_probit(beta, cell.dgp.mixture), PROBIT_MIXTURE_TOLERANCE
-        except AssumptionViolationError:
-            return None, 0.0
-    return None, 0.0
+    dgp, model = cell.dgp, cell.model
+    if model == "forest":
+        return None
+    pairs = (("linear", "ols"), ("probit", "probit"), ("logit", "logit"))
+    if cell.features == "both" and (dgp.family, model) in pairs:  # correctly specified
+        return GroupErrorPrediction.of_groups(0.0, 0.0, dgp.mixture)
+    errors = _population_errors(dgp, model, cell.features)
+    return GroupErrorPrediction.of_groups(*errors, dgp.mixture)
 
 
 def run_replication(cell: ExperimentCell, seed: int) -> ErrorReport:
@@ -213,16 +187,13 @@ def run_replication(cell: ExperimentCell, seed: int) -> ErrorReport:
     return error_report(predict(model, dataset.x1, dataset.x2), dataset.y, dataset.a)
 
 
-def aggregate(indexed_reports: list[tuple[int, ErrorReport]]) -> ErrorReport:
-    """Combine per-replication reports into means and replication SEs.
+def aggregate(reports: list[ErrorReport]) -> ErrorReport:
+    """Combine per-replication reports, in replication order, into means and replication SEs.
 
-    Input pairs may arrive in any order; they are sorted by replication
-    index first, so the result is independent of execution schedule. A
-    single replication is returned as it is, with its within-sample SEs;
+    A single replication is returned as it is, with its within-sample SEs;
     otherwise SE = std(stat across reps, ddof=1) / sqrt(R) and the row
-    counts are summed.
+    counts are summed. The exact sums make the result the same in any order.
     """
-    reports = [rep for _, rep in sorted(indexed_reports, key=lambda pair: pair[0])]
     if len(reports) == 1:
         return reports[0]
     stats = {}
@@ -255,16 +226,15 @@ def run_cell(
             row.verdict = "error"
             row.error = "replication %d (seed %d): %s" % (r, seed, failure)
             return row
-    report = aggregate(list(enumerate(reports)))
+    report = aggregate(reports)
     row.b_pop, row.b_g0, row.b_g1, row.tau = (
         report.b_pop, report.b_group0, report.b_group1, report.tau
     )
     row.se_pop, row.se_g0, row.se_g1, row.se_tau = (
         report.se_pop, report.se_group0, report.se_group1, report.se_tau
     )
-    analytic, extra_tol = analytic_for_cell(cell)
-    if analytic is not None:
-        z_scores = compare(analytic, report, extra_tol)
+    if (analytic := cell.analytic) is not None:
+        z_scores = compare(analytic, report)
         if cell.model == "ols":  # b_pop is rounding, see the module docstring
             del z_scores["b_pop"]
         row.analytic_b_g0 = analytic.b_group0
@@ -360,7 +330,7 @@ def _fields_from(cls, level: str, obj, **json_keys) -> dict:
     """
     if not isinstance(obj, dict):
         raise ConfigError("%s must be a JSON object, got %r" % (level, obj))
-    keys = {json_keys.get(f.name, f.name): f for f in fields(cls)}
+    keys = {json_keys.get(f.name, f.name): f for f in fields(cls) if f.init}
     for key in obj:
         if key not in keys:
             raise ConfigError("unknown %s key %r, known: %r" % (level, key, tuple(keys)))

@@ -135,3 +135,52 @@ def probit_short_fit_limit(beta, spec):
 
     gaps = np.split(ndtr(design @ gamma) - r, 2)
     return gamma, _group_errors(float(w @ gaps[0]), float(w @ gaps[1]), spec)
+
+
+def logit_short_fit_limit(beta, spec):
+    """Population limit of the logit fit of the logit risk on (1, X1), X2 omitted.
+
+    ``beta`` is (b0, b1, b2) of the risk S(b0 + b1*X1 + b2*X2). Within group
+    a, X2 given X1 = x is Gaussian with mean m_a(x) and variance v_a; the risk
+    given X1 has no closed form, so it is taken by 60-node Gauss-Hermite
+    quadrature over that conditional law, inside 60-node quadrature over
+    each group's X1. The concave population log-likelihood is maximised by
+    Newton's method with the exact Hessian. S(u) is 0.5 * (1 + tanh(u / 2)),
+    which never overflows.
+    Returns gamma and the group errors e = S(g0 + g1*X1) - Y of the limit
+    fit. Uses only numpy, neither the library's fits nor its quadrature.
+    """
+    b0, b1, b2 = beta
+    t, w = np.polynomial.hermite.hermgauss(60)
+    t, w = math.sqrt(2.0) * t, w / math.sqrt(math.pi)
+
+    def logistic(u):
+        return 0.5 * (1.0 + np.tanh(0.5 * u))
+
+    xs, risks, weights = [], [], []
+    for p, g in zip(spec.weights, spec.groups):
+        (m1, m2), ((s11, s12), (_, s22)) = g.mean, g.covariance
+        x = m1 + math.sqrt(s11) * t
+        cond_mean = m2 + s12 / s11 * (x - m1)
+        cond_sd = math.sqrt(max(s22 - s12 * s12 / s11, 0.0))
+        x2 = cond_mean[:, None] + cond_sd * t[None, :]
+        xs.append(x)
+        risks.append(logistic(b0 + b1 * x[:, None] + b2 * x2) @ w)
+        weights.append(p * w)
+    x, r, wt = np.concatenate(xs), np.concatenate(risks), np.concatenate(weights)
+    design = np.column_stack([np.ones_like(x), x])
+
+    gamma = np.zeros(2)
+    for _ in range(100):
+        prob = logistic(design @ gamma)
+        grad = design.T @ (wt * (r - prob))
+        hess = design.T @ (design * (wt * prob * (1.0 - prob))[:, None])
+        step = np.linalg.solve(hess, grad)
+        gamma = gamma + step
+        if np.max(np.abs(step)) <= 1e-14:
+            break
+    else:
+        raise RuntimeError("population logit Newton did not converge")
+
+    gaps = np.split(logistic(design @ gamma) - r, 2)
+    return gamma, _group_errors(float(w @ gaps[0]), float(w @ gaps[1]), spec)

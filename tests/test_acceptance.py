@@ -217,9 +217,9 @@ def test_05_probit_group_errors_vs_simulation():
     # both groups and cancels from b_1 - b_0, which leaves
     # E[Y | A=0] - E[Y | A=1]. The closed form's levels therefore carry a
     # common shift from the limit's, 0.030 here, as analytic_probit's
-    # docstrings state. It exceeds PROBIT_MIXTURE_TOLERANCE, so the verdict
-    # path reads a correct fit of this cell as inconsistent; the shift is
-    # asserted so that any change to the closed form shows up here.
+    # docstrings state. The run compares such a cell with the population
+    # limit, not with the closed form; the shift is asserted so that any
+    # change to the closed form shows up here.
     _, limit = probit_short_fit_limit(spec.beta, mixture)
     check(
         failures,
@@ -422,7 +422,7 @@ def test_09_determinism(table_rows, tmp_path):
         outputs.append(out.read_bytes())
     check(failures, outputs[0] == outputs[1], "reruns differ")
 
-    reports = list(enumerate(table_rows[("linear", "ols", "x1_only")].reports))
+    reports = list(table_rows[("linear", "ols", "x1_only")].reports)
     order = np.random.default_rng(0).permutation(len(reports))
     permuted = [reports[i] for i in order]
     check(failures, aggregate(reports) == aggregate(permuted), "aggregation depends on replication order")

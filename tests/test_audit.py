@@ -234,13 +234,6 @@ def test_compare_z_scores_and_verdicts():
     assert z["b_pop"] == z["b_group1"] == 0.0
 
 
-def test_compare_extra_tolerance_adds_in_quadrature():
-    empirical = make_report(0.0, 0.5, 0.0, 0.1, 0.1, 0.1)
-    relaxed = compare(ZERO, empirical, extra_tolerance=0.2)
-    assert relaxed["b_group0"] == 0.5 / math.hypot(0.1, 0.2)
-    assert relaxed["tau"] == -0.5 / math.hypot(math.hypot(0.1, 0.1), 0.2)
-
-
 def test_compare_handles_zero_denominators():
     exact = make_report(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
     assert compare(ZERO, exact) == {"b_pop": 0.0, "b_group0": 0.0, "b_group1": 0.0, "tau": 0.0}

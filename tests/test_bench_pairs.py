@@ -65,3 +65,19 @@ def test_a_higher_better_metric_counts_the_larger_value_as_a_win():
     assert got["metrics"]["peak_rss_mb"]["wins"] == {"parent": 1, "change": 2}
     single = bench_pairs.side_summary([5.0])
     assert single == {"n": 1, "median": 5.0, "values": [5.0]}
+
+
+def test_table1_summary_keeps_each_pair_and_each_side_median():
+    def run(seconds, exit_code=0):
+        return {"seconds": seconds, "exit": exit_code}
+
+    pairs = [
+        {"parent": run(90.0), "change": run(80.0, 1), "same_bytes": True},
+        {"change": run(70.0, 1), "parent": run(100.0), "same_bytes": True},
+        {"parent": run(95.0), "change": run(85.0, 1), "same_bytes": False},
+    ]
+    got = bench_pairs.table1_summary(pairs)
+    assert got["pairs"] == pairs
+    assert got["parent"] == {"median_seconds": 95.0}
+    assert got["change"] == {"median_seconds": 80.0}
+    assert bench_pairs.TABLE1_PAIRS == 3

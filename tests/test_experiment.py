@@ -38,7 +38,6 @@ from biaslab.experiment import (
     CSV_HEADER,
     ExperimentCell,
     ExperimentConfig,
-    PROBIT_MIXTURE_TOLERANCE,
     TABLE_BETA,
     TABLE_BETA_POLY,
     TABLE_MIXTURE,
@@ -54,7 +53,7 @@ from biaslab.experiment import (
 )
 from biaslab.moments import GroupGaussianSpec, MixtureSpec, _real, _reals, group_moments
 
-from conftest import independent_mixture, make_mixture
+from conftest import independent_mixture, make_mixture, probit_short_fit_limit
 
 
 def small_cell(family="linear", model="ols", features="x1_only", n=300, mixture=None):
@@ -192,37 +191,52 @@ def test_closed_form_refusals_are_biaslab_errors(refuse, message):
 
 def test_analytic_for_correct_specification_is_zero():
     for family, model in (("linear", "ols"), ("probit", "probit"), ("logit", "logit")):
-        pred, slack = analytic_for_cell(small_cell(family=family, model=model, features="both"))
+        cell = small_cell(family=family, model=model, features="both")
+        pred = analytic_for_cell(cell)
         assert (pred.b_pop, pred.b_group0, pred.b_group1, pred.tau) == (0.0, 0.0, 0.0, 0.0)
-        assert slack == 0.0
+        assert cell.analytic == pred
 
 
 def test_analytic_for_short_linear_model():
-    pred, slack = analytic_for_cell(small_cell())
+    pred = analytic_for_cell(small_cell())
     direct = omitted_group_errors(LinearDgpCoefficients(*TABLE_BETA), TABLE_MIXTURE)
-    assert pred == direct
-    assert slack == 0.0
+    for name in ("b_pop", "b_group0", "b_group1", "tau"):
+        assert getattr(pred, name) == pytest.approx(getattr(direct, name), abs=1e-13)
 
 
 def test_analytic_for_short_probit_model():
-    ok, slack = analytic_for_cell(
-        small_cell(family="probit", model="probit", mixture=independent_mixture())
-    )
-    assert ok is not None
-    assert slack == PROBIT_MIXTURE_TOLERANCE
-    # The reference mixture's within-group correlation violates the closed
-    # form's assumptions, so no prediction is attached there.
-    none, slack = analytic_for_cell(small_cell(family="probit", model="probit"))
-    assert none is None and slack == 0.0
+    # The probit closed form is shifted from this limit where the groups'
+    # X2 means differ, and does not apply to correlated groups at all.
+    for mixture in (independent_mixture(), TABLE_MIXTURE):
+        pred = analytic_for_cell(small_cell(family="probit", model="probit", mixture=mixture))
+        _, limit = probit_short_fit_limit(TABLE_BETA, mixture)
+        for name in ("b_pop", "b_group0", "b_group1", "tau"):
+            assert getattr(pred, name) == pytest.approx(getattr(limit, name), abs=1e-10)
 
 
 def test_no_analytic_for_uncovered_cells():
+    assert analytic_for_cell(small_cell(model="forest")) is None
+
+
+def test_every_parametric_cell_has_an_analytic_value():
     for cell in (
-        small_cell(model="forest"),
         small_cell(family="polynomial", features="both"),
         small_cell(family="logit", model="logit"),
+        small_cell(family="logit", model="probit", features="both"),
+        small_cell(family="probit", model="ols"),
     ):
-        assert analytic_for_cell(cell) == (None, 0.0)
+        assert cell.analytic == analytic_for_cell(cell) is not None
+
+
+def test_the_analytic_value_is_kept_on_the_cell_and_not_evaluated_again(monkeypatch):
+    cell = small_cell(family="probit", model="probit", n=200)
+    calls = []
+    monkeypatch.setattr(experiment, "analytic_for_cell", lambda c: calls.append(c))
+    row = run(small_config([cell], replications=2))[0]
+    assert calls == []
+    assert (row.analytic_b_g0, row.analytic_tau) == (cell.analytic.b_group0, cell.analytic.tau)
+    assert "analytic" not in repr(cell)
+    assert cell == small_cell(family="probit", model="probit", n=200)
 
 
 # --- running and aggregation ---
@@ -317,15 +331,15 @@ def fake_report(seed):
 
 
 def test_aggregate_is_order_invariant():
-    indexed = [(r, fake_report(r)) for r in range(6)]
-    shuffled = [indexed[i] for i in (3, 0, 5, 1, 4, 2)]
-    assert aggregate(indexed) == aggregate(shuffled)
+    reports = [fake_report(r) for r in range(6)]
+    shuffled = [reports[i] for i in (3, 0, 5, 1, 4, 2)]
+    assert aggregate(reports) == aggregate(shuffled)
 
 
 def test_aggregate_recomputes_tau_and_replication_ses():
-    indexed = [(r, fake_report(r)) for r in range(5)]
-    report = aggregate(indexed)
-    b0s = [rep.b_group0 for _, rep in indexed]
+    reports = [fake_report(r) for r in range(5)]
+    report = aggregate(reports)
+    b0s = [rep.b_group0 for rep in reports]
     assert report.b_group0 == pytest.approx(sum(b0s) / 5, abs=1e-12)
     assert report.tau == report.b_group1 - report.b_group0
     assert report.se_group0 == pytest.approx(np.std(b0s, ddof=1) / math.sqrt(5), rel=1e-12)
@@ -334,7 +348,7 @@ def test_aggregate_recomputes_tau_and_replication_ses():
 
 def test_aggregate_single_replication_passes_through():
     only = fake_report(9)
-    report = aggregate([(0, only)])
+    report = aggregate([only])
     assert report.b_group0 == only.b_group0
     assert report.se_group0 == only.se_group0
     assert report.se_tau == only.se_tau
@@ -364,7 +378,7 @@ def written_out_aggregate(reports):
     )
 
 
-def written_out_compare(analytic, empirical, extra_tolerance):
+def written_out_compare(analytic, empirical):
     pairs = {
         "b_pop": (empirical.b_pop, analytic.b_pop, empirical.se_pop),
         "b_group0": (empirical.b_group0, analytic.b_group0, empirical.se_group0),
@@ -373,12 +387,11 @@ def written_out_compare(analytic, empirical, extra_tolerance):
     }
     z_scores = {}
     for name, (emp, ana, se) in pairs.items():
-        denom = math.hypot(se, extra_tolerance)
         diff = emp - ana
-        if denom == 0.0:
+        if se == 0.0:
             z_scores[name] = 0.0 if diff == 0.0 else math.inf
         else:
-            z_scores[name] = diff / denom
+            z_scores[name] = diff / se
     return z_scores
 
 
@@ -404,18 +417,17 @@ def error_reports(draw):
 @given(
     reports=st.lists(error_reports(), min_size=1, max_size=6),
     analytic=st.builds(GroupErrorPrediction, STATISTICS, STATISTICS, STATISTICS, STATISTICS),
-    extra_tolerance=st.sampled_from([0.0, PROBIT_MIXTURE_TOLERANCE]) | st.floats(0.0, 1.0),
 )
-def test_statistic_table_loops_equal_the_written_out_statistics(reports, analytic, extra_tolerance):
+def test_statistic_table_loops_equal_the_written_out_statistics(reports, analytic):
     expected = written_out_aggregate(reports)
-    got = aggregate(list(enumerate(reports)))
+    got = aggregate(reports)
     assert type(got) is ErrorReport
     assert bits(got) == bits(expected)
     if all(v == v for v in vars(expected).values()):  # nan is unequal to itself
         assert got == expected
     for empirical in (got, reports[0]):
-        z_expected = written_out_compare(analytic, empirical, extra_tolerance)
-        z_got = compare(analytic, empirical, extra_tolerance)
+        z_expected = written_out_compare(analytic, empirical)
+        z_got = compare(analytic, empirical)
         assert list(z_got) == list(z_expected) == ["b_pop", "b_group0", "b_group1", "tau"]
         assert [z.hex() for z in z_got.values()] == [z.hex() for z in z_expected.values()]
 
@@ -435,13 +447,13 @@ SWEEP_CONFIG = Path(__file__).resolve().parent.parent / "benchmarks" / "configs"
 
 
 def test_ols_rounding_in_b_pop_sets_no_verdict():
-    # Sweep cell 4, linear/ols on X1 only: b_pop 4.38e-16 over an SE of
-    # 1.09e-16 is |z| 4.04, while the group errors and tau sit within 1.6.
+    # Sweep cell 10, linear/ols on X1 only: the emitted b_pop and its SE and
+    # the reference's b_pop are all rounding, |z| 20.1, while the group
+    # errors and tau sit within 0.01.
     config = load_config(SWEEP_CONFIG)
-    cell = config.cells[4]
-    row = run_cell(cell, 4, config, keep_reports=True)
-    analytic, extra_tol = analytic_for_cell(cell)
-    z = compare(analytic, aggregate(list(enumerate(row.reports))), extra_tol)
+    cell = config.cells[10]
+    row = run_cell(cell, 10, config, keep_reports=True)
+    z = compare(cell.analytic, aggregate(list(row.reports)))
     assert abs(z.pop("b_pop")) > config.z_threshold
     assert all(abs(v) <= config.z_threshold for v in z.values())
     assert row.verdict == "consistent"
@@ -603,8 +615,8 @@ def test_parse_config_names_a_missing_key(level, key):
 
 def test_parse_config_refuses_a_cell_its_closed_form_cannot_cover():
     # Var(X1) = 1e-13 in both groups is a valid covariance that every fit
-    # survives, but the omitted-variable closed form needs Var(X1) > 1e-12:
-    # the cell is refused when it is built, before any replication runs.
+    # survives, but the cell's population fit needs Var(X1) > 1e-12: the
+    # cell is refused when it is built, before any replication runs.
     cov = [[1e-13, 0.0], [0.0, 1.0]]
     groups = [{"mean": [1, 1], "covariance": cov}, {"mean": [1, 3], "covariance": cov}]
     obj = with_mixture(groups=groups)
@@ -891,9 +903,9 @@ def test_cli_analytic_probit_rejects_violated_assumptions(tmp_path, capsys):
 
 
 def test_probit_closed_form_survives_a_huge_omitted_coefficient(tmp_path, capsys):
-    # beta2 = 1e200 squares past the float range. The group errors are then
-    # their beta2 -> inf limit Phi(mu2 / s2) - Phi(mu2a / s2), with pooled
-    # mu2 = 2 and s2 = 1, in both commands and with no traceback.
+    # beta2 = 1e200 squares past the float range. The closed form's group
+    # errors are then their beta2 -> inf limit Phi(mu2 / s2) - Phi(mu2a / s2),
+    # with pooled mu2 = 2 and s2 = 1, and neither command prints a traceback.
     limit = (ndtr(2.0) - ndtr(1.0), ndtr(2.0) - ndtr(3.0))
     mix = tmp_path / "mixture.json"
     mix.write_text(json.dumps(MIXTURE_JSON))
@@ -901,12 +913,18 @@ def test_probit_closed_form_survives_a_huge_omitted_coefficient(tmp_path, capsys
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert (payload["b_group0"], payload["b_group1"]) == pytest.approx(limit, abs=1e-9)
+    # run compares with the fit's own limit. As beta2 -> inf the risk given
+    # X1 = x in group a is Phi(m_a(x) / sqrt(v_a)): here Phi(1) and Phi(3)
+    # whatever x. Both groups share X1's law, so the limit fit is the pooled
+    # mean risk, and group a's error is that mean less Phi(mu2a).
+    pooled = (ndtr(1.0) + ndtr(3.0)) / 2.0
+    fit_limit = (pooled - ndtr(1.0), pooled - ndtr(3.0))
     obj = with_cell(dgp={**config_json()["cells"][0]["dgp"], "family": "probit",
                          "beta": [0.0, 1.0, 1e200]}, model="probit")
     assert main(["run", "--config", write_config(tmp_path, obj), "--format", "json"]) in (0, 1)
     captured = capsys.readouterr()
     row = json.loads(captured.out)["rows"][0]
-    assert (row["analytic_b_g0"], row["analytic_b_g1"]) == pytest.approx(limit, abs=1e-9)
+    assert (row["analytic_b_g0"], row["analytic_b_g1"]) == pytest.approx(fit_limit, abs=1e-12)
     assert row["verdict"] in ("consistent", "inconsistent")
     assert captured.err == ""
 
