@@ -1,13 +1,18 @@
 """From-scratch model fitting: OLS, probit/logit MLE, CART regression forest.
 
 The maximum-likelihood fits use damped Newton with analytic gradients and
-Hessians (start at zero, step-halving line search, hard iteration cap); the
-forest is bagged CART with a variance-reduction split criterion. One pass
-over a forked process pool grows each tree and scores the training rows
-its bootstrap left out, so a forest fit carries its own out-of-bag scores
-(Breiman, 1996). A fit sorts each feature once; a tree repeats each sorted
-row by its bootstrap count and stably partitions the lists down the tree.
-scipy supplies only scalar numerics primitives (normal CDF, log CDF,
+Hessians (start at zero, step-halving line search, hard iteration cap). One
+link evaluation per trial point gives each row's log-likelihood term, slope
+and curvature, and the information matrix comes from the design's column
+products, stored once per fit (the intercept makes the first k of them the
+design itself).
+
+The forest is bagged CART with a variance-reduction split criterion. One
+pass over a forked process pool grows each tree and scores the training
+rows its bootstrap left out, so a forest fit carries its own out-of-bag
+scores (Breiman, 1996). A fit sorts each feature once; a tree repeats each
+sorted row by its bootstrap count and stably partitions the lists down the
+tree. scipy supplies only scalar numerics primitives (normal CDF, log CDF,
 logistic), never the fitting itself.
 """
 
@@ -121,47 +126,97 @@ def fit_ols(data: Dataset, features: str) -> FittedModel:
     return FittedModel(family="ols", features=features, coefficients=tuple(coef))
 
 
-def _mills(t: np.ndarray) -> np.ndarray:
-    """phi(t) / Phi(t), guarded for large |t| where the direct ratio is 0/0."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    direct = np.abs(t) <= 8.0
-    td = t[direct]
-    out[direct] = np.exp(-0.5 * td * td - _LOG_SQRT_2PI) / ndtr(td)
-    tg = t[~direct]
-    out[~direct] = np.exp(-0.5 * tg * tg - _LOG_SQRT_2PI - log_ndtr(tg))
+def _signed(values: np.ndarray, z) -> np.ndarray:
+    """(2z - 1) * values in one new array: values where z = 1, -values where z = 0."""
+    out = np.multiply(z, 2.0)
+    out -= 1.0
+    out *= values
     return out
 
 
-class _ProbitLink:
-    """Bernoulli log-likelihood pieces for risk = Phi(index).
+class _BernoulliLink:
+    """Bernoulli log-likelihood pieces for risk = F(index).
 
-    Each row's terms are evaluated once, at the signed index s = (2z - 1) * eta.
+    ``terms(eta, z)`` evaluates each row once, at the signed index
+    s = (2z - 1) * eta, and returns the row's log-likelihood term
+    L = log F(s), its slope dL/ds and its curvature -d2L/ds2. The gradient
+    weight in eta is (2z - 1) * dL/ds; the curvature is the same in eta.
+    """
+
+    @classmethod
+    def loglik(cls, eta: np.ndarray, z, weights=1.0) -> float:
+        return float(np.sum(weights * cls.terms(eta, z)[0]))
+
+    @classmethod
+    def grad_weights(cls, eta: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
+        _, slope, curvature = cls.terms(eta, z)
+        return _signed(slope, z), curvature
+
+
+class _ProbitLink(_BernoulliLink):
+    """risk = Phi(index): L = log Phi(s), slope lam = phi(s) / Phi(s), curvature lam (lam + s)."""
+
+    @staticmethod
+    def terms(eta: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        s = _signed(eta, z)
+        ll = log_ndtr(s)
+        # lam = exp(log phi(s) - log Phi(s)): no 0/0 where Phi(s) underflows
+        lam = s * s
+        lam *= -0.5
+        lam -= _LOG_SQRT_2PI
+        lam -= ll
+        np.exp(lam, out=lam)
+        s += lam
+        s *= lam
+        return ll, lam, s
+
+
+class _LogitLink(_BernoulliLink):
+    """risk = S(index): L = log S(s), slope 1 - S(s), curvature S(s) (1 - S(s)).
+
+    With e = exp(-|s|): L = min(s, 0) - log1p(e), the slope is e / (1 + e)
+    for s >= 0 and 1 / (1 + e) below, and the curvature is e / (1 + e)^2,
+    so nothing cancels. The steps work in place, on at most four row arrays.
     """
 
     @staticmethod
-    def loglik(eta: np.ndarray, z, weights=1.0) -> float:
-        return float(np.sum(weights * log_ndtr((2.0 * z - 1.0) * eta)))
+    def terms(eta: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        s = _signed(eta, z)
+        e = np.abs(s)
+        np.negative(e, out=e)
+        np.exp(e, out=e)
+        ll = np.log1p(e)
+        nonneg = s >= 0.0
+        np.minimum(s, 0.0, out=s)
+        np.subtract(s, ll, out=ll)
+        one_e = np.add(e, 1.0, out=s)
+        e /= one_e  # e / (1 + e)
+        curvature = e / one_e
+        slope = np.divide(1.0, one_e, out=one_e)
+        np.copyto(slope, e, where=nonneg)
+        return ll, slope, curvature
 
-    @staticmethod
-    def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sign = 2.0 * z - 1.0
-        s = sign * eta
-        lam = _mills(s)
-        return sign * lam, lam * (lam + s)
+
+def _product_rows(x: np.ndarray) -> np.ndarray:
+    """The products x_i * x_j (i <= j) of the columns of x, one per row, in row-major (i, j) order.
+
+    With x[:, 0] all ones, as in ``_design``, the first k rows are the
+    columns of x themselves.
+    """
+    n, k = x.shape
+    rows = np.empty((k * (k + 1) // 2, n))
+    for r, (i, j) in enumerate(zip(*np.triu_indices(k))):
+        np.multiply(x[:, i], x[:, j], out=rows[r])
+    return rows
 
 
-class _LogitLink:
-    """Bernoulli log-likelihood pieces for risk = S(index)."""
-
-    @staticmethod
-    def loglik(eta: np.ndarray, z, weights=1.0) -> float:
-        return float(-np.sum(weights * np.logaddexp(0.0, (1.0 - 2.0 * z) * eta)))
-
-    @staticmethod
-    def grad_weights(eta: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = expit(eta)
-        return z - p, p * (1.0 - p)
+def _information(rows: np.ndarray, curvature: np.ndarray, k: int) -> np.ndarray:
+    """x.T @ (x * curvature[:, None]) from x's product rows: the k x k Newton information."""
+    upper = np.triu_indices(k)
+    info = np.empty((k, k))
+    info[upper] = rows @ curvature
+    info.T[upper] = info[upper]
+    return info
 
 
 def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiagnostics]:
@@ -174,16 +229,30 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
     improvement of a near-optimal step can round away in a sum of n
     terms). Accepted iterates whose index magnitudes pass 30 raise
     SeparationError (the MLE is running off to infinity).
+
+    ``link.terms`` runs once per trial point, and the accepted point's
+    slopes and curvatures give the next gradient and information. Both
+    come from x's column products, stored once as ``_product_rows``; x's
+    first column is ones (``_design``), so rows[:k] is x itself and x is
+    not kept.
     """
     if z.min() == z.max():
         raise SeparationError("all outcomes are the same class; the MLE does not exist")
-    coef = np.zeros(x.shape[1])
-    eta = x @ coef
-    ll = link.loglik(eta, z)
+    k = x.shape[1]
+    rows = _product_rows(x)
+    del x
+    design = rows[:k]
+
+    def ascent(eta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        """Log-likelihood, gradient and information at index eta from one link evaluation."""
+        ll, slope, curvature = link.terms(eta, z)
+        ll = float(np.sum(ll))
+        return ll, design @ _signed(slope, z), _information(rows, curvature, k)
+
+    coef = np.zeros(k)
+    ll, grad, info = ascent(coef @ design)
     trace = [ll]
     for iteration in range(_MAX_ITER + 1):
-        u, w = link.grad_weights(eta, z)
-        grad = x.T @ u
         grad_max = float(np.max(np.abs(grad)))
         if grad_max <= _GRAD_TOL:
             return coef, FitDiagnostics(
@@ -194,14 +263,13 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
                 "no convergence after %d iterations (gradient max-norm %.3e)"
                 % (_MAX_ITER, grad_max)
             )
-        info = x.T @ (x * w[:, None])
         try:
             step = np.linalg.solve(info, grad)
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("singular information matrix: %s" % err) from err
 
         trial = coef + step
-        eta_trial = x @ trial
+        eta_trial = trial @ design
         if float(np.max(np.abs(eta_trial))) > _SEPARATION_INDEX:
             raise SeparationError(
                 "index magnitudes exceed %g at iteration %d; data appear separable"
@@ -211,27 +279,28 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
         slack = 1e-12 * max(1.0, abs(ll))
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            ll_trial = link.loglik(eta_trial, z)
+            ll_trial, grad_trial, info_trial = ascent(eta_trial)
             if ll_trial >= ll - slack:
                 break
             scale *= 0.5
             trial = coef + scale * step
-            eta_trial = x @ trial
+            eta_trial = trial @ design
         else:
             raise ConvergenceError(
                 "line search failed after %d halvings at iteration %d"
                 % (_MAX_HALVINGS, iteration + 1)
             )
-        coef, eta, ll = trial, eta_trial, ll_trial
+        coef, ll, grad, info = trial, ll_trial, grad_trial, info_trial
         trace.append(ll)
 
 
 def _fit_mle(data: Dataset, features: str, link, family: str) -> FittedModel:
     if data.z is None:
         raise ConfigError("classification fit requires a dataset with z labels")
-    x = _design(data.x1, data.x2, features)
-    z = np.asarray(data.z, dtype=float)
-    coef, diagnostics = _newton_mle(x, z, link)
+    # Neither the design nor a float copy of z is kept here: _newton_mle frees
+    # the design once it has its product rows, and the labels may stay integers.
+    z = np.asarray(data.z)
+    coef, diagnostics = _newton_mle(_design(data.x1, data.x2, features), z, link)
     return FittedModel(
         family=family,
         features=features,
@@ -289,20 +358,24 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
     else:
         link = _ProbitLink if model == "probit" else _LogitLink
 
-        def loglik(c: np.ndarray) -> float:
+        def ascent(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+            """Log-likelihood, score and curvature at c, from one link evaluation per label."""
             eta = x @ c
-            return link.loglik(eta, 1.0, wts * y) + link.loglik(eta, 0.0, wts * (1.0 - y))
+            (l1, d1, w1), (l0, d0, w0) = link.terms(eta, 1.0), link.terms(eta, 0.0)
+            ll = float(np.sum(wts * y * l1)) + float(np.sum(wts * (1.0 - y) * l0))
+            score = x.T @ (wts * (y * d1 - (1.0 - y) * d0))
+            curvature = x.T @ (x * (wts * (y * w1 + (1.0 - y) * w0))[:, None])
+            return ll, score, curvature
 
         coef = np.zeros(x.shape[1])
-        ll = loglik(coef)
+        ll, score, curvature = ascent(coef)
         for _ in range(_MAX_ITER):
-            (u1, w1), (u0, w0) = (link.grad_weights(x @ coef, z) for z in (1.0, 0.0))
-            curvature = x.T @ (x * (wts * (y * w1 + (1.0 - y) * w0))[:, None])
-            step = np.linalg.solve(curvature, x.T @ (wts * (y * u1 + (1.0 - y) * u0)))
+            step = np.linalg.solve(curvature, score)
             # Halve a step that lowers the likelihood beyond rounding; an ascent step ends it.
-            while (ll_trial := loglik(coef + step)) < ll - 1e-15 * abs(ll):
+            while (trial := ascent(coef + step))[0] < ll - 1e-15 * abs(ll):
                 step = step / 2.0
-            coef, ll = coef + step, ll_trial
+            coef = coef + step
+            ll, score, curvature = trial
             if np.max(np.abs(step)) <= 1e-10 * max(1.0, np.max(np.abs(coef))):
                 break  # quadratic convergence: the next step would be rounding
         else:

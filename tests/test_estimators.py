@@ -1,10 +1,11 @@
 """From-scratch fits: least squares, probit/logit Newton MLE, CART forest."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import log_ndtr
+from scipy.special import expit, log_ndtr, ndtr
 
 from biaslab import estimators
 from biaslab.dgp import DgpSpec, derive_seed, generate
@@ -193,30 +194,30 @@ def test_log_likelihood_increases_monotonically(family, fit):
         assert np.all(np.diff(trace) >= floor)
 
 
-class TwoSidedProbit:
+class TwoSidedProbit(estimators._BernoulliLink):
     """Probit terms evaluated for both labels on every row, then selected."""
 
     @staticmethod
-    def loglik(eta, z):
-        return float(np.sum(np.where(z == 1, log_ndtr(eta), log_ndtr(-eta))))
+    def terms(eta, z):
+        def at(s):
+            ll = log_ndtr(s)
+            lam = np.exp(-0.5 * s * s - 0.5 * math.log(2.0 * math.pi) - ll)
+            return ll, lam, lam * (lam + s)
+
+        return tuple(np.where(z == 1, pos, neg) for pos, neg in zip(at(eta), at(-eta)))
+
+
+class TwoSidedLogit(estimators._BernoulliLink):
+    """Logit terms evaluated for both labels on every row, then selected."""
 
     @staticmethod
-    def grad_weights(eta, z):
-        lam_pos = estimators._mills(eta)
-        lam_neg = estimators._mills(-eta)
-        u = np.where(z == 1, lam_pos, -lam_neg)
-        w = np.where(z == 1, lam_pos * (lam_pos + eta), lam_neg * (lam_neg - eta))
-        return u, w
+    def terms(eta, z):
+        def at(s):
+            e = np.exp(-np.abs(s))
+            slope = np.where(s >= 0.0, e, 1.0) / (1.0 + e)
+            return np.minimum(s, 0.0) - np.log1p(e), slope, e / (1.0 + e) / (1.0 + e)
 
-
-class TwoSidedLogit:
-    """Logit log-likelihood evaluated for both labels on every row, then selected."""
-
-    @staticmethod
-    def loglik(eta, z):
-        return float(-np.sum(np.where(z == 1, np.logaddexp(0.0, -eta), np.logaddexp(0.0, eta))))
-
-    grad_weights = staticmethod(_LogitLink.grad_weights)
+        return tuple(np.where(z == 1, pos, neg) for pos, neg in zip(at(eta), at(-eta)))
 
 
 @pytest.mark.parametrize(
@@ -224,12 +225,14 @@ class TwoSidedLogit:
 )
 def test_one_sided_links_equal_the_two_sided_formulas(link, reference):
     rng = np.random.default_rng(17)
-    # Both labels at every index, |eta| on both sides of the Mills-ratio cutoff at 8.
+    # Both labels at every index, |eta| on both sides of 8.
     grid = np.concatenate([np.linspace(-40.0, 40.0, 161), 3.0 * rng.standard_normal(400)])
     eta = np.concatenate([grid, grid])
     z = np.concatenate([np.zeros_like(grid), np.ones_like(grid)])
     assert link.loglik(eta, z) == reference.loglik(eta, z)
     for got, want in zip(link.grad_weights(eta, z), reference.grad_weights(eta, z)):
+        assert np.array_equal(got, want)
+    for got, want in zip(link.terms(eta, z), reference.terms(eta, z)):
         assert np.array_equal(got, want)
 
 
@@ -262,18 +265,77 @@ def test_a_refused_full_step_is_halved():
     calls = []
 
     class RefuseFirstStep:
-        grad_weights = staticmethod(_LogitLink.grad_weights)
-
         @staticmethod
-        def loglik(eta, z):
+        def terms(eta, z):
             calls.append(None)
-            return -math.inf if len(calls) == 2 else _LogitLink.loglik(eta, z)
+            ll, slope, curvature = _LogitLink.terms(eta, z)
+            return (np.full_like(ll, -math.inf) if len(calls) == 2 else ll), slope, curvature
 
     coef, diagnostics = estimators._newton_mle(x, z, RefuseFirstStep)
+    rows = estimators._product_rows(x)
     u, w = _LogitLink.grad_weights(np.zeros(z.shape[0]), z)
-    step = np.linalg.solve(x.T @ (x * w[:, None]), x.T @ u)
-    assert diagnostics.log_likelihood[1] == _LogitLink.loglik(x @ (0.5 * step), z)
+    step = np.linalg.solve(estimators._information(rows, w, 3), rows[:3] @ u)
+    assert diagnostics.log_likelihood[1] == _LogitLink.loglik((0.5 * step) @ rows[:3], z)
     assert coef == pytest.approx(fit_logit(ds, "both").coefficients, abs=1e-6)
+
+
+def signed_grid():
+    """Index values on [-40, 40] and random draws, with both labels, and their signed index."""
+    rng = np.random.default_rng(19)
+    grid = np.concatenate([np.linspace(-40.0, 40.0, 801), 4.0 * rng.standard_normal(2_000)])
+    eta = np.concatenate([grid, grid])
+    z = np.concatenate([np.zeros_like(grid), np.ones_like(grid)])
+    return eta, z, np.where(z == 1, eta, -eta)
+
+
+def within_ulps(got, want, ulps):
+    return np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+
+
+def test_probit_terms_match_independent_formulas():
+    eta, z, s = signed_grid()
+    ll, lam, curvature = _ProbitLink.terms(eta, z)
+    assert np.array_equal(ll, log_ndtr(s))
+    inner = np.abs(s) <= 8.0
+    mills = np.exp(-0.5 * s[inner] ** 2) / math.sqrt(2.0 * math.pi) / ndtr(s[inner])
+    assert np.all(np.abs(lam[inner] - mills) <= 1e-13 * mills)
+    assert np.all(np.isfinite(lam))
+    assert np.array_equal(curvature, lam * (lam + s))
+
+
+def test_logit_terms_match_independent_formulas():
+    eta, z, s = signed_grid()
+    ll, slope, curvature = _LogitLink.terms(eta, z)
+    assert within_ulps(ll, -np.logaddexp(0.0, -s), 4)
+    assert within_ulps(slope, expit(-s), 4)
+    assert within_ulps(curvature, expit(s) * expit(-s), 4)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_product_row_information_equals_the_weighted_cross_product(k):
+    rng = np.random.default_rng(23)
+    n = 5_000
+    x = np.column_stack([np.ones(n)] + [m + rng.standard_normal(n) for m in (1.0, 3.0)[: k - 1]])
+    w = rng.random(n) * 0.25
+    rows = estimators._product_rows(x)
+    assert np.array_equal(rows[:k], x.T)
+    np.testing.assert_allclose(
+        estimators._information(rows, w, k), x.T @ (x * w[:, None]), rtol=1e-13, atol=0.0
+    )
+
+
+@pytest.mark.parametrize("family,fit", [("probit", fit_probit), ("logit", fit_logit)])
+def test_mle_fit_peaks_at_twelve_and_a_half_row_arrays(family, fit):
+    ds = dataset(family, (-1.0, 0.7, 0.4), n=10_000, seed=41)
+    n = ds.x1.shape[0]
+    fit(ds, "both")  # first-call set-up is not the fit's working memory
+    tracemalloc.start()
+    try:
+        fit(ds, "both")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.5 * 8 * n
 
 
 def test_probit_probabilities_are_probabilities():
