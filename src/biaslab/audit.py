@@ -111,9 +111,9 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     groups = np.asarray(groups)
     if not predictions.shape == truths.shape == groups.shape:
         raise ConfigError("predictions, truths and groups must have equal length")
-    in1 = groups.astype(bool)
-    if not np.array_equal(in1, groups):
-        stray = ~((groups == 1) | (groups == 0))
+    in1 = groups == 1
+    stray = ~(in1 | (groups == 0))
+    if stray.any():
         raise ConfigError("group labels must be 0 or 1, got %r" % (groups[stray][0],))
     e = predictions - truths
     e0, e1 = e[~in1], e[in1]

@@ -18,6 +18,7 @@ logistic), never the fitting itself.
 
 from __future__ import annotations
 
+import functools
 import math
 import multiprocessing
 import os
@@ -144,8 +145,8 @@ class _BernoulliLink:
     """
 
     @classmethod
-    def loglik(cls, eta: np.ndarray, z, weights=1.0) -> float:
-        return float(np.sum(weights * cls.terms(eta, z)[0]))
+    def loglik(cls, eta: np.ndarray, z) -> float:
+        return float(np.sum(cls.terms(eta, z)[0]))
 
     @classmethod
     def grad_weights(cls, eta: np.ndarray, z) -> tuple[np.ndarray, np.ndarray]:
@@ -210,13 +211,21 @@ def _product_rows(x: np.ndarray) -> np.ndarray:
     return rows
 
 
+# Cached per k: building the index on each call cost more than the products
+# over a population fit's 48 or 1,152 quadrature rows.
+@functools.cache
+def _product_index(k: int) -> np.ndarray:
+    """The k x k matrix of each (i, j)'s row in ``_product_rows``, (j, i) sharing it."""
+    i, j = np.triu_indices(k)
+    index = np.empty((k, k), dtype=np.intp)
+    index[i, j] = index[j, i] = np.arange(i.size)
+    index.flags.writeable = False
+    return index
+
+
 def _information(rows: np.ndarray, curvature: np.ndarray, k: int) -> np.ndarray:
     """x.T @ (x * curvature[:, None]) from x's product rows: the k x k Newton information."""
-    upper = np.triu_indices(k)
-    info = np.empty((k, k))
-    info[upper] = rows @ curvature
-    info.T[upper] = info[upper]
-    return info
+    return (rows @ curvature)[_product_index(k)]
 
 
 def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiagnostics]:
@@ -357,17 +366,19 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
         coef = np.linalg.solve(x.T @ (x * wts[:, None]), x.T @ (wts * y))
     else:
         link = _ProbitLink if model == "probit" else _LogitLink
+        k = x.shape[1]
+        rows = _product_rows(x)
 
         def ascent(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
             """Log-likelihood, score and curvature at c, from one link evaluation per label."""
-            eta = x @ c
+            eta = c @ rows[:k]
             (l1, d1, w1), (l0, d0, w0) = link.terms(eta, 1.0), link.terms(eta, 0.0)
             ll = float(np.sum(wts * y * l1)) + float(np.sum(wts * (1.0 - y) * l0))
-            score = x.T @ (wts * (y * d1 - (1.0 - y) * d0))
-            curvature = x.T @ (x * (wts * (y * w1 + (1.0 - y) * w0))[:, None])
+            score = rows[:k] @ (wts * (y * d1 - (1.0 - y) * d0))
+            curvature = _information(rows, wts * (y * w1 + (1.0 - y) * w0), k)
             return ll, score, curvature
 
-        coef = np.zeros(x.shape[1])
+        coef = np.zeros(k)
         ll, score, curvature = ascent(coef)
         for _ in range(_MAX_ITER):
             step = np.linalg.solve(curvature, score)
