@@ -5,7 +5,8 @@ Hessians (start at zero, step-halving line search, hard iteration cap). One
 link evaluation per trial point gives each row's log-likelihood term, slope
 and curvature, and the information matrix comes from the design's column
 products, stored once per fit (the intercept makes the first k of them the
-design itself).
+design itself). Row weights let the same loop fit a population, given as
+quadrature nodes, for the pseudo-true fits of ``_population_errors``.
 
 The forest is bagged CART with a variance-reduction split criterion. One
 pass over a forked process pool grows each tree and scores the training
@@ -39,8 +40,8 @@ FEATURE_SETS = ("both", "x1_only")
 _GRAD_TOL = 1e-6
 _MAX_ITER = 100
 _MAX_HALVINGS = 30
-# Accepted index magnitudes beyond this mean the likelihood is driving the
-# coefficients off to infinity, i.e. (quasi-)separation.
+# A full Newton step with index magnitudes beyond this means the likelihood is
+# driving the coefficients off to infinity, i.e. (quasi-)separation.
 _SEPARATION_INDEX = 30.0
 _RANK_TOL = 1e-10
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -228,16 +229,23 @@ def _information(rows: np.ndarray, curvature: np.ndarray, k: int) -> np.ndarray:
     return (rows @ curvature)[_product_index(k)]
 
 
-def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiagnostics]:
-    """Damped Newton ascent of the Bernoulli log-likelihood.
+def _newton_mle(
+    x: np.ndarray, z: np.ndarray, link, weights=1.0, grad_tol: float = _GRAD_TOL,
+    max_index: float = _SEPARATION_INDEX,
+) -> tuple[np.ndarray, FitDiagnostics]:
+    """Damped Newton ascent of the Bernoulli log-likelihood, each row weighted.
 
-    Starts at zero and checks the gradient before each step: a max-norm
-    <= 1e-6 returns, and a gradient still above it after 100 steps raises
-    ConvergenceError. Each step is halved until the log-likelihood does
-    not decrease beyond its own rounding floor (relative 1e-12; the true
-    improvement of a near-optimal step can round away in a sum of n
-    terms). Accepted iterates whose index magnitudes pass 30 raise
-    SeparationError (the MLE is running off to infinity).
+    ``weights`` multiplies each row's log-likelihood term, slope and
+    curvature in place: 1.0 for a sample, whose bits it keeps, and a row's
+    probability mass for a population (``_population_errors``). Starts at
+    zero and returns once the gradient's max-norm is at most ``grad_tol``
+    (1e-6) or the last full Newton step is at most 1e-10 * max(1, max|coef|);
+    neither after 100 steps raises ConvergenceError. Each step is halved
+    until the log-likelihood does not decrease beyond its own rounding floor
+    (relative 1e-12; the true improvement of a near-optimal step can round
+    away in a sum of n terms). A full Newton step, before any halving, whose
+    index magnitudes pass ``max_index`` (30) raises SeparationError: the
+    MLE is running off to infinity.
 
     ``link.terms`` runs once per trial point, and the accepted point's
     slopes and curvatures give the next gradient and information. Both
@@ -255,15 +263,18 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
     def ascent(eta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
         """Log-likelihood, gradient and information at index eta from one link evaluation."""
         ll, slope, curvature = link.terms(eta, z)
-        ll = float(np.sum(ll))
-        return ll, design @ _signed(slope, z), _information(rows, curvature, k)
+        ll *= weights
+        slope *= weights
+        curvature *= weights
+        return float(np.sum(ll)), design @ _signed(slope, z), _information(rows, curvature, k)
 
-    coef = np.zeros(k)
+    coef, step = np.zeros(k), np.full(k, math.inf)  # no step taken yet
     ll, grad, info = ascent(coef @ design)
     trace = [ll]
     for iteration in range(_MAX_ITER + 1):
         grad_max = float(np.max(np.abs(grad)))
-        if grad_max <= _GRAD_TOL:
+        settled = np.max(np.abs(step)) <= 1e-10 * max(1.0, np.max(np.abs(coef)))
+        if grad_max <= grad_tol or settled:
             return coef, FitDiagnostics(
                 iterations=iteration, grad_max=grad_max, log_likelihood=tuple(trace)
             )
@@ -279,10 +290,10 @@ def _newton_mle(x: np.ndarray, z: np.ndarray, link) -> tuple[np.ndarray, FitDiag
 
         trial = coef + step
         eta_trial = trial @ design
-        if float(np.max(np.abs(eta_trial))) > _SEPARATION_INDEX:
+        if float(np.max(np.abs(eta_trial))) > max_index:
             raise SeparationError(
                 "index magnitudes exceed %g at iteration %d; data appear separable"
-                % (_SEPARATION_INDEX, iteration + 1)
+                % (max_index, iteration + 1)
             )
 
         slack = 1e-12 * max(1.0, abs(ll))
@@ -335,10 +346,13 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
     over the mixture, by a tensor Gauss-Hermite rule through each group's
     Cholesky factor: X1 = m1 + l11 t1, X2 = m2 + l21 t1 + l22 t2. For a probit
     outcome on X1 alone, E[Phi(h) | t1] = Phi(h(X1, m2 + l21 t1) / hypot(1, b2 l22))
-    replaces the t2 axis. ols solves the weighted normal equations; probit and
-    logit run Newton on the score r u(z=1) + (1 - r) u(z=0) at risk r, whose
-    curvature mixes the same way. A singular population covariance of the
-    features raises DegenerateVarianceError.
+    replaces the t2 axis. ols solves the weighted normal equations. probit and
+    logit fit the nodes as a weighted sample with ``_newton_mle``: each node is
+    a z = 1 row of mass w r and a z = 0 row of mass w (1 - r) at risk r. That
+    fit stops on its step test alone, since a gradient tolerance depends on
+    the features' scale, and has no index guard, since the outer nodes sit
+    8.5 sd out. A singular population covariance of the features raises
+    DegenerateVarianceError.
     """
     # 24 Gauss-Hermite nodes for T ~ N(0, 1), E[f(T)] = w @ f(t), by Golub-Welsch
     s = np.sqrt(np.arange(1.0, 24.0))
@@ -366,31 +380,9 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
         coef = np.linalg.solve(x.T @ (x * wts[:, None]), x.T @ (wts * y))
     else:
         link = _ProbitLink if model == "probit" else _LogitLink
-        k = x.shape[1]
-        rows = _product_rows(x)
-
-        def ascent(c: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-            """Log-likelihood, score and curvature at c, from one link evaluation per label."""
-            eta = c @ rows[:k]
-            (l1, d1, w1), (l0, d0, w0) = link.terms(eta, 1.0), link.terms(eta, 0.0)
-            ll = float(np.sum(wts * y * l1)) + float(np.sum(wts * (1.0 - y) * l0))
-            score = rows[:k] @ (wts * (y * d1 - (1.0 - y) * d0))
-            curvature = _information(rows, wts * (y * w1 + (1.0 - y) * w0), k)
-            return ll, score, curvature
-
-        coef = np.zeros(k)
-        ll, score, curvature = ascent(coef)
-        for _ in range(_MAX_ITER):
-            step = np.linalg.solve(curvature, score)
-            # Halve a step that lowers the likelihood beyond rounding; an ascent step ends it.
-            while (trial := ascent(coef + step))[0] < ll - 1e-15 * abs(ll):
-                step = step / 2.0
-            coef = coef + step
-            ll, score, curvature = trial
-            if np.max(np.abs(step)) <= 1e-10 * max(1.0, np.max(np.abs(coef))):
-                break  # quadratic convergence: the next step would be rounding
-        else:
-            raise ConvergenceError("population %s fit did not converge" % model)
+        z = np.repeat([1.0, 0.0], y.shape[0])
+        mass = np.concatenate([wts * y, wts * (1.0 - y)])
+        coef, _ = _newton_mle(np.vstack([x, x]), z, link, mass, grad_tol=0.0, max_index=math.inf)
     fitted = FittedModel(family=model, features=features, coefficients=tuple(coef))
     gap0, gap1 = np.split(predict(fitted, x1, x2) - y, 2)
     return float(w @ gap0), float(w @ gap1)

@@ -324,6 +324,17 @@ def test_product_row_information_equals_the_weighted_cross_product(k):
     )
 
 
+@pytest.mark.parametrize("link", [_ProbitLink, _LogitLink])
+def test_row_weights_act_as_row_counts(link):
+    ds = dataset("probit", (-1.0, 0.7, 0.4), n=1_000, seed=43)
+    x = estimators._design(ds.x1, ds.x2, "both")
+    z = ds.z.astype(float)
+    counts = np.random.default_rng(47).integers(1, 4, size=z.shape[0])
+    weighted, _ = estimators._newton_mle(x, z, link, counts.astype(float))
+    repeated, _ = estimators._newton_mle(np.repeat(x, counts, axis=0), np.repeat(z, counts), link)
+    np.testing.assert_allclose(weighted, repeated, rtol=0.0, atol=1e-10)
+
+
 @pytest.mark.parametrize("family,fit", [("probit", fit_probit), ("logit", fit_logit)])
 def test_mle_fit_peaks_at_twelve_and_a_half_row_arrays(family, fit):
     ds = dataset(family, (-1.0, 0.7, 0.4), n=10_000, seed=41)

@@ -6,6 +6,7 @@ hold it to the independent limits in conftest, to the closed forms where
 they are exact, and to two properties of the limit itself.
 """
 
+import math
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -23,6 +24,7 @@ from biaslab.experiment import (
     ExperimentCell,
     load_config,
     parse_config,
+    run_replication,
     table1_config,
 )
 from biaslab.moments import GroupGaussianSpec, MixtureSpec
@@ -134,6 +136,39 @@ def test_probit_closed_form_tau_is_the_limit_and_its_levels_share_one_shift():
     shift = closed.b_group0 - pred.b_group0
     assert closed.b_group1 - pred.b_group1 == pytest.approx(shift, abs=1e-12)
     assert shift == pytest.approx(0.030, abs=5e-4)
+
+
+def test_the_population_fit_has_no_index_guard():
+    # The outermost quadrature nodes sit 8.5 sd out, where this cell's
+    # limiting index passes 30; its samples fit, so the cell must build.
+    c = ExperimentCell(DgpSpec("probit", (-2.0, 2.0, 1.0), TABLE_MIXTURE, 10_000), "logit", "both")
+    assert math.isfinite(c.analytic.b_group0)
+    assert c.analytic.b_group0 == pytest.approx(5.83e-5, rel=1e-2)
+    for seed in range(3):
+        assert math.isfinite(run_replication(c, seed).b_group0)
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e4])
+@pytest.mark.parametrize(
+    "family,model,features",
+    [
+        ("probit", "probit", "x1_only"),
+        ("logit", "logit", "x1_only"),
+        ("probit", "logit", "both"),
+        ("logit", "probit", "both"),
+    ],
+)
+def test_the_limit_is_invariant_to_a_shift_of_the_features(shift, family, model, features):
+    # Moving X by (m, m) and the intercept by -2m leaves every index, and so
+    # every error, as it was; a gradient tolerance in absolute units would not.
+    groups = tuple(
+        GroupGaussianSpec(mean=(g.mean[0] + shift, g.mean[1] + shift), covariance=g.covariance)
+        for g in TABLE_MIXTURE.groups
+    )
+    moved = MixtureSpec(groups=groups, weight_protected=TABLE_MIXTURE.weight_protected)
+    beta = (TABLE_BETA[0] - 2.0 * shift,) + TABLE_BETA[1:]
+    want = cell(family, model, features, TABLE_BETA, TABLE_MIXTURE).analytic
+    assert_close(cell(family, model, features, beta, moved).analytic, want, 1e-10)
 
 
 def test_a_degenerate_x1_is_refused_at_parse_time_in_a_probit_cell_too():
