@@ -3,7 +3,7 @@
 ``experiment.analytic_for_cell`` fits each cell's model to its whole
 population by quadrature (``estimators._population_errors``). These tests
 hold it to the independent limits in conftest, to the closed forms where
-they are exact, and to two properties of the limit itself.
+they are exact, and to properties of the limit itself.
 """
 
 import math
