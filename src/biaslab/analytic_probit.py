@@ -25,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import hypot, sqrt
 
-from scipy.special import ndtr
-
+from . import _special
 from .analytic_linear import GroupErrorPrediction
 from .exceptions import AssumptionViolationError, ConfigError
 from .moments import MixtureSpec, group_moments, pooled_moments
@@ -58,7 +57,7 @@ def std_normal_cdf(x):
     Backed by an erfc-based rational approximation accurate to well under
     1e-12 absolute everywhere; accepts scalars or arrays.
     """
-    return ndtr(x)
+    return _special.ndtr(x)
 
 
 def gaussian_cdf_expectation(a: float, b: float, mu: float, sigma: float) -> float:
@@ -69,7 +68,7 @@ def gaussian_cdf_expectation(a: float, b: float, mu: float, sigma: float) -> flo
     """
     if sigma < 0:
         raise ConfigError("sigma must be nonnegative, got %r" % (sigma,))
-    return float(ndtr((a + b * mu) / hypot(1.0, b * sigma)))
+    return float(_special.ndtr((a + b * mu) / hypot(1.0, b * sigma)))
 
 
 def omitted_coefficients_probit(
@@ -142,8 +141,8 @@ def omitted_group_errors_probit(
         g = group_moments(spec, a)
         d = hypot(1.0, beta.beta1 * sqrt(g.var_x1), beta.beta2 * sqrt(var2))
         base = beta.beta0 + beta.beta1 * g.e_x1
-        short = float(ndtr((base + beta.beta2 * mu2_pooled) / d))
-        true = float(ndtr((base + beta.beta2 * g.e_x2) / d))
+        short = float(_special.ndtr((base + beta.beta2 * mu2_pooled) / d))
+        true = float(_special.ndtr((base + beta.beta2 * g.e_x2) / d))
         return short - true
 
     return GroupErrorPrediction.of_groups(one_group(0), one_group(1), spec)

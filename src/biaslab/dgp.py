@@ -14,7 +14,9 @@ group sizes match the simulation design and remove one source of variance.
 For classification families the stored ``y`` is the true risk Phi(index) or
 S(index) with no added noise, and ``z`` is the Bernoulli(y) draw; prediction
 errors are always measured against the risk, which only a simulation can
-observe.
+observe. Phi and S are scipy's ``ndtr`` and ``expit``, read through
+``_special``, which imports scipy.special on first use: a linear or
+polynomial draw never loads it.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtr
 
+from . import _special
 from .exceptions import ConfigError
 from .moments import MixtureSpec, _reals
 
@@ -136,9 +138,9 @@ def conditional_mean(family: str, beta, x1: np.ndarray, x2: np.ndarray) -> np.nd
     if family == "polynomial":
         h = h + beta[3] * x1 * x1 + beta[4] * x2 * x2 + beta[5] * x1 * x2
     if family == "probit":
-        return ndtr(h)
+        return _special.ndtr(h)
     if family == "logit":
-        return expit(h)
+        return _special.expit(h)
     return h
 
 

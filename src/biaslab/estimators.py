@@ -14,7 +14,9 @@ rows its bootstrap left out, so a forest fit carries its own out-of-bag
 scores (Breiman, 1996). A fit sorts each feature once; a tree repeats each
 sorted row by its bootstrap count and stably partitions the lists down the
 tree. scipy supplies only scalar numerics primitives (normal CDF, log CDF,
-logistic), never the fitting itself.
+logistic), never the fitting itself; they are read through ``_special``,
+which imports scipy.special on the first probit or logit call, so ols and
+forest fits never load it.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr
 
+from . import _special
 from .dgp import Dataset, DgpSpec, conditional_mean, derive_seed
 from .exceptions import (
     BiaslabError, ConfigError, ConvergenceError, DegenerateVarianceError, RankDeficiencyError,
@@ -108,10 +110,9 @@ class FittedModel:
 def fit_ols(data: Dataset, features: str) -> FittedModel:
     """Least squares of y on an intercept plus the selected features.
 
-    Solves the normal equations by LU factorization with partial pivoting.
-    Full column rank is required: at least as many rows as columns, and a
-    smallest/largest singular value ratio above 1e-10, else
-    RankDeficiencyError.
+    Solves the normal equations (``_least_squares``). Full column rank is
+    required: at least as many rows as columns, and a smallest/largest
+    singular value ratio above 1e-10, else RankDeficiencyError.
     """
     x = _design(data.x1, data.x2, features)
     if x.shape[0] < x.shape[1]:
@@ -124,7 +125,7 @@ def fit_ols(data: Dataset, features: str) -> FittedModel:
             "design matrix is rank deficient (singular value ratio %.3e)"
             % (sv[-1] / sv[0] if sv[0] else 0.0)
         )
-    coef = np.linalg.solve(x.T @ x, x.T @ np.asarray(data.y, dtype=float))
+    coef = _least_squares(x, np.asarray(data.y, dtype=float), np.ones(x.shape[0]))
     return FittedModel(family="ols", features=features, coefficients=tuple(coef))
 
 
@@ -161,7 +162,7 @@ class _ProbitLink(_BernoulliLink):
     @staticmethod
     def terms(eta: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = _signed(eta, z)
-        ll = log_ndtr(s)
+        ll = _special.log_ndtr(s)
         # lam = exp(log phi(s) - log Phi(s)): no 0/0 where Phi(s) underflows
         lam = s * s
         lam *= -0.5
@@ -227,6 +228,19 @@ def _product_index(k: int) -> np.ndarray:
 def _information(rows: np.ndarray, curvature: np.ndarray, k: int) -> np.ndarray:
     """x.T @ (x * curvature[:, None]) from x's product rows: the k x k Newton information."""
     return (rows @ curvature)[_product_index(k)]
+
+
+def _least_squares(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The solution of x.T W x b = x.T W y, W = diag(weights), by LU with partial pivoting.
+
+    Both sides come from x's column products, as the Newton information
+    does: each is a (rows, n) @ (n,) product, which BLAS gives each output
+    to one thread, so the bits do not depend on the BLAS thread count. A
+    product x.T @ x would split its sums over rows between threads.
+    """
+    rows = _product_rows(x)
+    k = x.shape[1]
+    return np.linalg.solve(_information(rows, weights, k), rows[:k] @ (weights * y))
 
 
 def _newton_mle(
@@ -339,6 +353,21 @@ def fit_logit(data: Dataset, features: str) -> FittedModel:
     return _fit_mle(data, features, _LogitLink, "logit")
 
 
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """24 Gauss-Hermite nodes t and weights w for T ~ N(0, 1), E[f(T)] = w @ f(t).
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    probabilists' Hermite polynomials, the weights the squared first
+    components of its eigenvectors. Built once; both arrays are read-only.
+    """
+    s = np.sqrt(np.arange(1.0, 24.0))
+    t, v = np.linalg.eigh(np.diag(s, 1) + np.diag(s, -1))
+    w = v[0] ** 2
+    t.flags.writeable = w.flags.writeable = False
+    return t, w
+
+
 def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float, float]:
     """Group mean errors of the limit of fit_<model> on ever more rows of spec.
 
@@ -354,10 +383,8 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
     8.5 sd out. A singular population covariance of the features raises
     DegenerateVarianceError.
     """
-    # 24 Gauss-Hermite nodes for T ~ N(0, 1), E[f(T)] = w @ f(t), by Golub-Welsch
-    s = np.sqrt(np.arange(1.0, 24.0))
-    t, v = np.linalg.eigh(np.diag(s, 1) + np.diag(s, -1))
-    t1, t2, w = t, 0.0 * t, v[0] ** 2
+    t, w = _hermite_rule()
+    t1, t2 = t, 0.0 * t
     one_axis = spec.family == "probit" and features == "x1_only"
     if not one_axis:
         t1, t2, w = np.repeat(t, t.size), np.tile(t, t.size), np.outer(w, w).ravel()
@@ -377,7 +404,7 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
         raise DegenerateVarianceError("Var(X1) = %r; the features' population covariance "
                                       "has eigenvalue %r" % (wts @ f[:, 0] ** 2, smallest))
     if model == "ols":
-        coef = np.linalg.solve(x.T @ (x * wts[:, None]), x.T @ (wts * y))
+        coef = _least_squares(x, y, wts)
     else:
         link = _ProbitLink if model == "probit" else _LogitLink
         z = np.repeat([1.0, 0.0], y.shape[0])
@@ -586,7 +613,7 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     if model.family == "ols":
         return index
     if model.family == "probit":
-        return ndtr(index)
+        return _special.ndtr(index)
     if model.family == "logit":
-        return expit(index)
+        return _special.expit(index)
     raise ConfigError("unknown model family %r" % (model.family,))

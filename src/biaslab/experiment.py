@@ -37,7 +37,7 @@ from dataclasses import MISSING, dataclass, field, fields
 # by getattr and the test suite runs benchmarks/tests, so they stay bound.
 from .analytic_linear import GroupErrorPrediction, omitted_group_errors  # noqa: F401
 from .analytic_probit import omitted_group_errors_probit  # noqa: F401
-from .audit import _SE_OF, ErrorReport, compare, error_report, mean_se
+from .audit import _SE_OF, ErrorReport, column_mean_se, compare, error_report
 from .dgp import CLASSIFICATION_FAMILIES, DgpSpec, _SEED_MASK, _count, derive_seed, generate
 from .estimators import (
     FEATURE_SETS,
@@ -192,13 +192,15 @@ def aggregate(reports: list[ErrorReport]) -> ErrorReport:
 
     A single replication is returned as it is, with its within-sample SEs;
     otherwise SE = std(stat across reps, ddof=1) / sqrt(R) and the row
-    counts are summed. The exact sums make the result the same in any order.
+    counts are summed. The exact sums make the result the same in any order;
+    the four statistics share their two passes (``audit.column_mean_se``).
     """
     if len(reports) == 1:
         return reports[0]
+    table = [[getattr(r, name) for name in _SE_OF] for r in reports]
     stats = {}
-    for name, se in _SE_OF.items():
-        stats[name], stats[se] = mean_se([getattr(r, name) for r in reports])
+    for (name, se), pair in zip(_SE_OF.items(), column_mean_se(table)):
+        stats[name], stats[se] = pair
     stats["tau"] = stats["b_group1"] - stats["b_group0"]  # exact for the reported means
     counts = {n: sum(getattr(r, n) for r in reports) for n in ("n_pop", "n_group0", "n_group1")}
     return ErrorReport(**stats, **counts)

@@ -1,6 +1,10 @@
 """Shared builders, hypothesis strategies and population-limit references for the tests."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,6 +14,23 @@ from biaslab.analytic_linear import GroupErrorPrediction
 from biaslab.moments import GroupGaussianSpec, MixtureSpec
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def fresh_python(code, **env):
+    """Run code in a new interpreter with PYTHONPATH=src plus env; its stdout.
+
+    A new interpreter starts with nothing imported, where this one holds
+    scipy.special through this file, and reads environment variables such
+    as BLAS thread counts at start-up. A nonzero exit fails the test.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def make_mixture(mean0, mean1, cov0=IDENTITY, cov1=IDENTITY, weight=0.5):

@@ -191,6 +191,39 @@ def test_mean_se_matches_exact_rational_sums(values, data):
     assert mean_se(data.draw(st.permutations(values))) == got
 
 
+@pytest.mark.parametrize("block", [7, audit._BLOCK])
+@pytest.mark.parametrize("size,scale", [(2, 1.0), (61, 1e-12), (5000, 1e3), (20001, 1.0)])
+def test_report_is_mean_se_of_each_group_and_the_population(size, scale, block, monkeypatch):
+    # The two labelled passes give what one exact sum per statistic gives.
+    monkeypatch.setattr(audit, "_BLOCK", block)
+    rng = np.random.default_rng(size)
+    predictions = scale * rng.standard_normal(size)
+    truths = predictions + scale * 1e-9 * rng.standard_normal(size)  # near-total cancellation
+    groups = (rng.random(size) < 0.4).astype(int)
+    groups[:2] = 0, 1
+    e = predictions - truths
+    report = error_report(predictions, truths, groups)
+    for (mean, se), want in (
+        ((report.b_pop, report.se_pop), mean_se(e)),
+        ((report.b_group0, report.se_group0), mean_se(e[groups == 0])),
+        ((report.b_group1, report.se_group1), mean_se(e[groups == 1])),
+    ):
+        assert same_bits(mean, want[0]) and same_bits(se, want[1])
+
+
+@pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", [0, 1])
+def test_a_non_finite_error_decides_its_group_and_the_population(special, where):
+    predictions = np.arange(6.0)
+    predictions[3 * where] = special
+    groups = np.repeat([0, 1], 3)
+    report = error_report(predictions, np.zeros(6), groups)
+    other = report.b_group1 if where == 0 else report.b_group0
+    assert same_bits(report.b_group1 if where else report.b_group0, special / 3)
+    assert same_bits(report.b_pop, special / 6)
+    assert other == (4.0 if where == 0 else 1.0)
+
+
 def test_empty_group_rejected():
     with pytest.raises(EmptyGroupError):
         error_report([1.0, 2.0], [0.0, 0.0], [0, 0])

@@ -26,7 +26,7 @@ from biaslab.estimators import (
 )
 from biaslab.exceptions import BiaslabError, RankDeficiencyError, SeparationError
 
-from conftest import independent_mixture, make_mixture
+from conftest import fresh_python, independent_mixture, make_mixture
 
 REFERENCE = make_mixture(
     (1.0, 1.0),
@@ -49,6 +49,22 @@ def toy(x1, z):
 
 
 # --- least squares ---
+
+
+def test_ols_coefficients_do_not_depend_on_the_blas_thread_count():
+    # At 200,000 rows OpenBLAS split x.T @ x's sums over rows between two
+    # threads, and the last bits of these coefficients moved with the count.
+    code = """
+import numpy as np
+from biaslab.dgp import DgpSpec, generate
+from biaslab.estimators import fit_ols
+from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE
+data = generate(DgpSpec("linear", TABLE_BETA, TABLE_MIXTURE, 100_000), 7)
+for features in ("both", "x1_only"):
+    print(np.array(fit_ols(data, features).coefficients).tobytes().hex())
+"""
+    one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=str(t)) for t in (1, 2))
+    assert one == two
 
 
 def test_ols_noiseless_recovery():

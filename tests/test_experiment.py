@@ -3,6 +3,7 @@
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 import tempfile
@@ -53,7 +54,7 @@ from biaslab.experiment import (
 )
 from biaslab.moments import GroupGaussianSpec, MixtureSpec, _real, _reals, group_moments
 
-from conftest import independent_mixture, make_mixture, probit_short_fit_limit
+from conftest import ROOT, fresh_python, independent_mixture, make_mixture, probit_short_fit_limit
 
 
 def small_cell(family="linear", model="ols", features="x1_only", n=300, mixture=None):
@@ -959,6 +960,36 @@ def test_cli_entry_point_runs_as_module(tmp_path):
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
     assert payload["tau"] == pytest.approx(-0.37589346050503821, abs=1e-12)
+
+
+def test_scipy_special_loads_on_the_first_probit_or_logit_call(tmp_path):
+    dgp = {"family": "linear", "beta": [-2.0, 1.0, 1.0], "mixture": MIXTURE_JSON, "n_per_group": 50}
+    cells = [{"dgp": dgp, "model": model, "features": "both"} for model in ("ols", "forest")]
+    config, mixture = tmp_path / "config.json", tmp_path / "mixture.json"
+    config.write_text(json.dumps({"cells": cells}))
+    mixture.write_text(json.dumps(MIXTURE_JSON))
+    out = fresh_python(f"""
+import json, sys
+import biaslab
+from biaslab import _special, cli, experiment
+experiment.load_config({str(config)!r})
+code = cli.main(["analytic", "--family", "linear", "--beta=-2,1,1", "--mixture", {str(mixture)!r}])
+before = "scipy.special" in sys.modules
+spec = biaslab.DgpSpec("probit", experiment.TABLE_BETA, experiment.TABLE_MIXTURE, 200)
+biaslab.fit_probit(biaslab.generate(spec, 1), "both")
+after = "scipy.special" in sys.modules
+import scipy.special
+same = [getattr(_special, n) is getattr(scipy.special, n) for n in ("ndtr", "log_ndtr", "expit")]
+print(json.dumps({{"code": code, "before": before, "after": after, "same": same}}))
+""")
+    assert json.loads(out.splitlines()[-1]) == {
+        "code": 0, "before": False, "after": True, "same": [True, True, True]
+    }
+    importers = [
+        path.name for path in sorted((ROOT / "src" / "biaslab").glob("*.py"))
+        if "scipy" in "".join(re.findall(r"^\s*(?:from|import) .*$", path.read_text(), re.M))
+    ]
+    assert importers == ["_special.py"]
 
 
 # --- fuzzed configs ---

@@ -10,12 +10,14 @@ import math
 from pathlib import Path
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
 from biaslab.analytic_probit import ProbitDgpCoefficients, omitted_group_errors_probit
 from biaslab.dgp import DgpSpec
+from biaslab.estimators import _hermite_rule
 from biaslab.exceptions import BiaslabError
 from biaslab.experiment import (
     TABLE_BETA,
@@ -193,3 +195,11 @@ def test_collinear_features_are_refused_not_fitted():
     assert cell("polynomial", "ols", "x1_only", TABLE_BETA_POLY, mixture).analytic is not None
     with pytest.raises(BiaslabError, match="population covariance"):
         cell("polynomial", "ols", "both", TABLE_BETA_POLY, mixture)
+
+
+def test_the_hermite_rule_is_built_once_and_read_only():
+    t, w = _hermite_rule()
+    assert _hermite_rule()[0] is t
+    assert not (t.flags.writeable or w.flags.writeable)
+    # E[T^2] = 1 and E[T^4] = 3 for T ~ N(0, 1)
+    assert np.allclose([w.sum(), w @ t**2, w @ t**4], [1.0, 1.0, 3.0], rtol=0, atol=1e-13)
