@@ -121,8 +121,9 @@ def bias_vanishes_condition(beta: LinearDgpCoefficients, spec: MixtureSpec) -> b
         Cov(X1,X2)/Var(X1) * [E(X1|A=1) - E(X1|A=0)] = E(X2|A=1) - E(X2|A=0)
 
     within 1e-10, or beta2 == 0 (nothing omitted matters, so tau vanishes
-    regardless of the moment condition). Agrees with |tau| <= 1e-10 from
-    :func:`omitted_group_errors`.
+    regardless of the moment condition). tau from :func:`omitted_group_errors`
+    is beta2 * (left side - right side), so this agrees with
+    |tau| <= 1e-10 * |beta2|, not with |tau| <= 1e-10.
     """
     if beta.beta2 == 0.0:
         return True

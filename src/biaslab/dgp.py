@@ -32,11 +32,9 @@ from . import _special
 from .exceptions import ConfigError
 from .moments import MixtureSpec, _reals
 
-FAMILIES = ("linear", "polynomial", "probit", "logit")
-REGRESSION_FAMILIES = ("linear", "polynomial")
-CLASSIFICATION_FAMILIES = ("probit", "logit")
-
 _BETA_LENGTH = {"linear": 3, "polynomial": 6, "probit": 3, "logit": 3}
+FAMILIES = tuple(_BETA_LENGTH)
+CLASSIFICATION_FAMILIES = ("probit", "logit")
 _SEED_MASK = (1 << 64) - 1
 # 100x the largest reference workload; far larger draws fail in numpy's allocator.
 MAX_N_PER_GROUP = 10_000_000
@@ -168,7 +166,7 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
     a = np.repeat(np.array([0, 1], dtype=np.int64), sizes)
 
     y = conditional_mean(spec.family, spec.beta, x1, x2)
-    if spec.family in REGRESSION_FAMILIES:
-        return Dataset(x1=x1, x2=x2, a=a, y=y + rng.standard_normal(n), z=None)
-    z = (rng.random(n) < y).astype(np.int64)
-    return Dataset(x1=x1, x2=x2, a=a, y=y, z=z)
+    if spec.family in CLASSIFICATION_FAMILIES:
+        z = (rng.random(n) < y).astype(np.int64)
+        return Dataset(x1=x1, x2=x2, a=a, y=y, z=z)
+    return Dataset(x1=x1, x2=x2, a=a, y=y + rng.standard_normal(n), z=None)

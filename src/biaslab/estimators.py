@@ -80,12 +80,18 @@ class FitDiagnostics:
 
 @dataclass(frozen=True)
 class Tree:
-    """One CART tree in flattened-array form; feature == -1 marks a leaf."""
+    """One CART tree in flattened-array form, node 0 the root.
+
+    Node i sends a row with feature ``feature[i]`` at most ``threshold[i]``
+    to child ``children[2 * i]`` and any other row, NaN included, to
+    ``children[2 * i + 1]``, both later in the arrays. A leaf has threshold
+    +inf, feature 0 and itself as both children, so a row stays on it; its
+    score is ``value[i]``.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    children: np.ndarray
     value: np.ndarray
 
 
@@ -455,7 +461,7 @@ def _grow_tree(
     xs = np.take_along_axis(xmat.T, order, axis=1)
     goes_left = np.zeros(n, dtype=bool)
     sizes = np.arange(order.shape[1] + 1, dtype=float)  # sizes[k] == k, a float divisor
-    nodes = [[-1, 0.0, -1, -1, 0.0]]  # feature, threshold, left, right, value
+    nodes = [[0, np.inf, 0, 0, 0.0]]  # feature, threshold, left, right, value: a leaf
     # node, its y; the parent's sorted lists and this node's mask of them
     stack = [(0, np.repeat(y, counts), order, xs, None, 0)]
     while stack:
@@ -487,7 +493,7 @@ def _grow_tree(
         goes_left[order[f, :i]] = False
         lid, rid = len(nodes), len(nodes) + 1
         nodes[node][:4] = f, thr, lid, rid
-        nodes += [[-1, 0.0, -1, -1, 0.0], [-1, 0.0, -1, -1, 0.0]]
+        nodes += [[0, np.inf, lid, lid, 0.0], [0, np.inf, rid, rid, 0.0]]
         stack.append((lid, ys[f, :i], order, xs, keep, depth + 1))
         stack.append((rid, ys[f, i:], order, xs, ~keep, depth + 1))
 
@@ -495,8 +501,7 @@ def _grow_tree(
     return Tree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
+        children=np.array([left, right], dtype=np.int64).T.ravel(),
         value=np.array(value, dtype=float),
     )
 
@@ -567,25 +572,20 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
 def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:
     """One tree's score for each row of ``xmat``, every row one level per step.
 
-    A leaf becomes a node with threshold +inf whose children are itself, so
-    all rows take the same step: read the node's feature from the flattened
-    rows and move to child ``2 * node + (went right)`` of the interleaved
-    child table. A NaN feature fails ``<=`` and goes right. The walk stops
-    once no row sits on an internal node, so any depth is handled.
+    A leaf is stored as its own two children, so all rows take the same
+    step: read the node's feature from the flattened rows and move to child
+    ``2 * node + (went right)``. A NaN feature fails ``<=`` and goes right.
+    The walk stops once every row sits on a leaf (threshold +inf), so any
+    depth is handled.
     """
-    leaf = tree.feature < 0
-    nodes = np.arange(leaf.shape[0])
-    feature = np.where(leaf, 0, tree.feature)
-    threshold = np.where(leaf, np.inf, tree.threshold)
-    children = np.column_stack(
-        [np.where(leaf, nodes, tree.left), np.where(leaf, nodes, tree.right)]
-    ).ravel()
     flat = xmat.ravel()  # a copy unless xmat is C-contiguous
     row_start = np.arange(0, flat.shape[0], xmat.shape[1])
     idx = np.zeros(xmat.shape[0], dtype=np.int64)
-    while not leaf[idx].all():
-        xv = flat[row_start + feature[idx]]
-        idx = children[2 * idx + ~(xv <= threshold[idx])]
+    threshold = tree.threshold[idx]
+    while not (threshold == np.inf).all():
+        xv = flat[row_start + tree.feature[idx]]
+        idx = tree.children[2 * idx + ~(xv <= threshold)]
+        threshold = tree.threshold[idx]
     return tree.value[idx]
 
 

@@ -421,10 +421,15 @@ def test_forest_tree_structure_invariants():
     ds = dataset("linear", (-2.0, 1.0, 1.0), n=400, seed=19)
     model = fit_forest(ds, "both", seed=3)
     for tree in model.forest:
-        internal = tree.feature >= 0
-        assert np.all(tree.left[internal] >= 0)
-        assert np.all(tree.right[internal] >= 0)
-        assert np.all(tree.left[~internal] == -1)
+        nodes = np.arange(tree.feature.shape[0])
+        left, right = tree.children[0::2], tree.children[1::2]
+        leaf = tree.threshold == np.inf
+        # a leaf is its own two children; an internal node splits a real
+        # feature at a finite threshold and points to later nodes
+        assert np.all(left[leaf] == nodes[leaf]) and np.all(right[leaf] == nodes[leaf])
+        assert np.all(np.isfinite(tree.threshold[~leaf]))
+        assert np.all((tree.feature >= 0) & (tree.feature < 2))
+        assert np.all(left[~leaf] > nodes[~leaf]) and np.all(right[~leaf] > nodes[~leaf])
         assert np.all(np.isfinite(tree.value))
         # a binary tree of depth d has at most 2^(d+1) - 1 nodes
         assert tree.feature.shape[0] <= 2 ** (MAX_DEPTH + 1) - 1
@@ -458,9 +463,7 @@ def test_pooled_forest_equals_trees_grown_one_by_one(features):
     for t, tree in enumerate(model.forest):
         rng = np.random.Generator(np.random.Philox(key=derive_seed(9, "tree", t)))
         counts = np.bincount(rng.integers(0, ds.n, size=ds.n), minlength=ds.n)
-        want = _grow_tree(x, order, ds.y, counts, MAX_DEPTH, MIN_LEAF)
-        for name in ("feature", "threshold", "left", "right", "value"):
-            assert np.array_equal(getattr(tree, name), getattr(want, name)), (t, name)
+        assert_same_tree(tree, _grow_tree(x, order, ds.y, counts, MAX_DEPTH, MIN_LEAF), t)
 
 
 def out_of_bag_reference(model, x, seed):
@@ -550,6 +553,24 @@ def test_a_forest_replication_opens_one_pool_and_audits_the_fitted_scores(monkey
     assert report == error_report(out_of_bag_reference(model, ds.x1[:, None], seed), ds.y, ds.a)
 
 
+def stored_form(feature, threshold, left, right, value):
+    """The Tree of a tree whose leaves are marked feature == left == right == -1."""
+    leaf = feature < 0
+    nodes = np.arange(feature.shape[0])
+    return estimators.Tree(
+        feature=np.where(leaf, 0, feature),
+        threshold=np.where(leaf, np.inf, threshold),
+        children=np.column_stack([np.where(leaf, nodes, left), np.where(leaf, nodes, right)]).ravel(),
+        value=value,
+    )
+
+
+def assert_same_tree(got, want, *context):
+    for name in ("feature", "threshold", "children", "value"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), (*context, name)
+
+
 def reference_tree(xmat, y, max_depth, min_leaf):
     """Per-feature CART grower (Breiman et al., 1984), one Python loop per feature.
 
@@ -559,7 +580,8 @@ def reference_tree(xmat, y, max_depth, min_leaf):
     threshold is the midpoint of the neighbouring values, or the lower one
     where the midpoint rounds up, and the rows are partitioned by comparing
     with it. Each feature's rows at a node are sorted by value, then by row
-    index.
+    index. Returns the feature, threshold, left, right and value arrays,
+    with -1 as a leaf's feature and children.
     """
     nodes = [[-1, 0.0, -1, -1, 0.0]]
     stack = [(0, np.arange(y.shape[0]), 0)]
@@ -642,21 +664,24 @@ def test_grower_matches_the_per_feature_reference(seed, x_kind):
         tree = _grow_tree(xmat, _presort(xmat), y, counts, max_depth, min_leaf)
         sample = np.repeat(np.arange(y.shape[0]), counts)
         want = reference_tree(xmat[sample], y[sample], max_depth, min_leaf)
-        for name, expected in zip(("feature", "threshold", "left", "right", "value"), want):
-            assert np.array_equal(getattr(tree, name), expected), (case, name)
+        assert_same_tree(tree, stored_form(*want), case)
 
 
-def reference_predict(tree, xmat):
-    """Row-compacting traversal: each level moves only the rows not yet at a leaf."""
+def reference_predict(reference, xmat):
+    """Row-compacting traversal: each level moves only the rows not yet at a leaf.
+
+    ``reference`` holds ``reference_tree``'s arrays, whose leaves have feature -1.
+    """
+    feature, threshold, left, right, value = reference
     idx = np.zeros(xmat.shape[0], dtype=np.int64)
     while True:
-        rows = np.nonzero(tree.feature[idx] >= 0)[0]
+        rows = np.nonzero(feature[idx] >= 0)[0]
         if rows.shape[0] == 0:
-            return tree.value[idx]
+            return value[idx]
         nodes = idx[rows]
-        xv = xmat[rows, tree.feature[nodes]]
-        go_left = xv <= tree.threshold[nodes]
-        idx[rows] = np.where(go_left, tree.left[nodes], tree.right[nodes])
+        xv = xmat[rows, feature[nodes]]
+        go_left = xv <= threshold[nodes]
+        idx[rows] = np.where(go_left, left[nodes], right[nodes])
 
 
 @pytest.mark.parametrize("seed,x_kind", enumerate(X_KINDS))
@@ -666,13 +691,15 @@ def test_traversal_matches_the_compacting_reference(seed, x_kind):
     rng = np.random.default_rng(100 + seed)
     for xmat, y, counts, max_depth, min_leaf in grower_cases(seed, x_kind):
         tree = _grow_tree(xmat, _presort(xmat), y, counts, max_depth, min_leaf)
+        sample = np.repeat(np.arange(y.shape[0]), counts)
+        reference = reference_tree(xmat[sample], y[sample], max_depth, min_leaf)
         d = xmat.shape[1]
         special = np.array([np.nan, np.inf, -np.inf, 0.0])
         odd = np.array(np.meshgrid(*[special] * d)).reshape(d, -1).T
         probe = np.vstack([xmat, 2.0 * rng.standard_normal((50, d)), odd])
         for rows in (probe, probe[:1], probe[:0]):
             got = _tree_predict(tree, rows)
-            assert got.tobytes() == reference_predict(tree, rows).tobytes()
+            assert got.tobytes() == reference_predict(reference, rows).tobytes()
 
 
 def test_traversal_walks_a_chain_deeper_than_max_depth():
@@ -684,11 +711,11 @@ def test_traversal_walks_a_chain_deeper_than_max_depth():
         # internal node 2k: left leaf 2k+1, right child 2k+2
         nodes += [[k % 2, float(k), 2 * k + 1, 2 * k + 2, 0.0], [-1, 0.0, -1, -1, float(k)]]
     nodes.append([-1, 0.0, -1, -1, float(depth)])
-    tree = estimators.Tree(*(np.array(column) for column in zip(*nodes)))
+    reference = [np.array(column) for column in zip(*nodes)]
     v = np.concatenate([np.arange(-1.0, depth + 2.0, 0.5), [np.nan, np.inf, -np.inf]])
     xmat = np.column_stack([v, v])
-    got = _tree_predict(tree, xmat)
-    assert got.tobytes() == reference_predict(tree, xmat).tobytes()
+    got = _tree_predict(stored_form(*reference), xmat)
+    assert got.tobytes() == reference_predict(reference, xmat).tobytes()
     finite = np.isfinite(v)
     assert np.array_equal(got[finite], np.clip(np.ceil(v[finite]), 0.0, depth))
     assert list(got[~finite]) == [depth, depth, 0.0]
@@ -704,5 +731,5 @@ def test_split_applies_the_scored_partition_between_adjacent_floats():
     tree = _grow_tree(xmat, _presort(xmat), y, np.ones(15, dtype=np.int64), 1, 5)
     assert tree.feature[0] == 0
     assert a <= tree.threshold[0] < b
-    assert tree.value[tree.left[0]] == 0.0
-    assert tree.value[tree.right[0]] == 10.0
+    assert tree.value[tree.children[0]] == 0.0
+    assert tree.value[tree.children[1]] == 10.0
