@@ -82,11 +82,11 @@ class FitDiagnostics:
 class Tree:
     """One CART tree in flattened-array form, node 0 the root.
 
-    Node i sends a row with feature ``feature[i]`` at most ``threshold[i]``
-    to child ``children[2 * i]`` and any other row, NaN included, to
-    ``children[2 * i + 1]``, both later in the arrays. A leaf has threshold
-    +inf, feature 0 and itself as both children, so a row stays on it; its
-    score is ``value[i]``.
+    Internal node i sends a row with feature ``feature[i]`` at most
+    ``threshold[i]`` to child ``children[2 * i]`` and any other row, NaN
+    included, to ``children[2 * i + 1]``, both later in the arrays. A leaf
+    has threshold +inf, feature 0 and itself as both children, so a row
+    stays on it; its score is ``value[i]``.
     """
 
     feature: np.ndarray
