@@ -15,8 +15,8 @@ For classification families the stored ``y`` is the true risk Phi(index) or
 S(index) with no added noise, and ``z`` is the Bernoulli(y) draw; prediction
 errors are always measured against the risk, which only a simulation can
 observe. Phi and S are scipy's ``ndtr`` and ``expit``, read through
-``_special``, which imports scipy.special on first use: a linear or
-polynomial draw never loads it.
+``_special``, which loads scipy's compiled ufunc module on first use and
+not the scipy.special package: a linear or polynomial draw loads neither.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ scores (Breiman, 1996). A fit sorts each feature once; a tree repeats each
 sorted row by its bootstrap count and stably partitions the lists down the
 tree. scipy supplies only scalar numerics primitives (normal CDF, log CDF,
 logistic), never the fitting itself; they are read through ``_special``,
-which imports scipy.special on the first probit or logit call, so ols and
-forest fits never load it.
+which loads scipy's compiled ufunc module (not the scipy.special package) on
+the first probit or logit call, so ols and forest fits never load it.
 """
 
 from __future__ import annotations

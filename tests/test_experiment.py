@@ -963,6 +963,8 @@ def test_cli_entry_point_runs_as_module(tmp_path):
 
 
 def test_scipy_special_loads_on_the_first_probit_or_logit_call(tmp_path):
+    # The first read of _special's names loads only scipy's compiled ufunc
+    # module; a later import of the package hands out the same objects.
     dgp = {"family": "linear", "beta": [-2.0, 1.0, 1.0], "mixture": MIXTURE_JSON, "n_per_group": 50}
     cells = [{"dgp": dgp, "model": model, "features": "both"} for model in ("ols", "forest")]
     config, mixture = tmp_path / "config.json", tmp_path / "mixture.json"
@@ -972,24 +974,79 @@ def test_scipy_special_loads_on_the_first_probit_or_logit_call(tmp_path):
 import json, sys
 import biaslab
 from biaslab import _special, cli, experiment
+loaded = lambda: [m in sys.modules for m in ("scipy.special", "scipy.special._special_ufuncs")]
 experiment.load_config({str(config)!r})
 code = cli.main(["analytic", "--family", "linear", "--beta=-2,1,1", "--mixture", {str(mixture)!r}])
-before = "scipy.special" in sys.modules
+before = loaded()
 spec = biaslab.DgpSpec("probit", experiment.TABLE_BETA, experiment.TABLE_MIXTURE, 200)
 biaslab.fit_probit(biaslab.generate(spec, 1), "both")
-after = "scipy.special" in sys.modules
+after = loaded()
 import scipy.special
 same = [getattr(_special, n) is getattr(scipy.special, n) for n in ("ndtr", "log_ndtr", "expit")]
 print(json.dumps({{"code": code, "before": before, "after": after, "same": same}}))
 """)
     assert json.loads(out.splitlines()[-1]) == {
-        "code": 0, "before": False, "after": True, "same": [True, True, True]
+        "code": 0, "before": [False, False], "after": [False, True], "same": [True, True, True]
     }
     importers = [
         path.name for path in sorted((ROOT / "src" / "biaslab").glob("*.py"))
         if "scipy" in "".join(re.findall(r"^\s*(?:from|import) .*$", path.read_text(), re.M))
     ]
     assert importers == ["_special.py"]
+
+
+@pytest.mark.parametrize("first", [
+    'biaslab.load_config("benchmarks/configs/parametric.json")',
+    'cli.main(["analytic", "--family", "probit", "--beta=-2,1,1", "--mixture", MIXTURE])',
+])
+def test_probit_start_up_leaves_scipy_special_unloaded_and_scipy_usable(tmp_path, first):
+    # The two start-up paths that read the probit functions first: parsing
+    # the benchmark's parametric config and the probit closed form. Neither
+    # imports the scipy.special package, and scipy works as usual after it.
+    mixture = tmp_path / "mixture.json"
+    mixture.write_text(json.dumps(MIXTURE_JSON))
+    out = fresh_python(f"""
+import json, sys
+import biaslab
+from biaslab import cli
+MIXTURE = {str(mixture)!r}
+{first}
+unloaded = "scipy.special" not in sys.modules
+import scipy.special, scipy.stats
+values = [scipy.special.erf(0.5), scipy.special.logsumexp([1, 2]), scipy.stats.norm.cdf(1.0)]
+print(json.dumps({{"unloaded": unloaded, "values": [float(v) for v in values]}}))
+""")
+    got = json.loads(out.splitlines()[-1])
+    assert got["unloaded"]
+    assert got["values"] == pytest.approx(
+        [math.erf(0.5), 2.0 + math.log1p(math.exp(-1.0)), 0.5 * math.erfc(-1.0 / math.sqrt(2.0))],
+        rel=1e-15,
+    )
+
+
+def test_special_falls_back_to_scipy_special_without_the_extension_file():
+    # Older scipy keeps ndtr elsewhere; a missing extension file must give
+    # scipy.special's own objects and the same fit to the last bit.
+    code = """
+import json, sys
+import numpy as np
+import biaslab
+from biaslab import _special, experiment
+{override}
+spec = biaslab.DgpSpec("probit", experiment.TABLE_BETA, experiment.TABLE_MIXTURE, 200)
+coef = np.array(biaslab.fit_probit(biaslab.generate(spec, 1), "both").coefficients)
+package = "scipy.special" in sys.modules
+import scipy.special
+same = [getattr(_special, n) is getattr(scipy.special, n) for n in ("ndtr", "log_ndtr", "expit")]
+print(json.dumps({{"coef": coef.tobytes().hex(), "package": package, "same": same}}))
+"""
+    fast, fallback = (
+        json.loads(fresh_python(code.format(override=override)).splitlines()[-1])
+        for override in ("", '_special._EXTENSION = "scipy.special._no_such_module"')
+    )
+    assert fast["package"] is False and fallback["package"] is True
+    assert fallback["same"] == [True, True, True]
+    assert fallback["coef"] == fast["coef"]
 
 
 # --- fuzzed configs ---
