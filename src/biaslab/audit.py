@@ -58,29 +58,32 @@ def column_mean_se(table) -> list[tuple[float, float]]:
     table = np.asarray(table, dtype=float)
     n, m = table.shape
     labels = np.tile(np.arange(m), n)
-    means = [_rounded(total) / n for total in _label_totals(table.ravel(), labels, m)]
+    means = [_rounded(total) / n for total in _label_totals([(table.ravel(), labels)], m)]
     with np.errstate(over="ignore", invalid="ignore"):
         squares = table - np.array(means)
         squares *= squares
-    return list(zip(means, _standard_errors([n] * m, squares.ravel(), labels)))
+    return list(zip(means, _standard_errors([n] * m, [(squares.ravel(), labels)])))
 
 
-def _standard_errors(counts, squares, labels) -> list[float]:
+def _standard_errors(counts, squares) -> list[float]:
     """Each label's std(ddof=1) / sqrt(n), from its values' squared deviations from their mean.
 
-    Every label's squares are summed exactly in one ``_label_totals`` pass.
-    The result is 0 for n = 1 and nan where the sum is not finite.
+    ``squares`` yields (squares, labels) array pairs, as ``_label_totals``
+    takes them, and every label's squares are summed exactly in that one
+    pass. The result is 0 for n = 1 and nan where the sum is not finite.
     """
     out = []
-    for n, total in zip(counts, _label_totals(squares, labels, len(counts))):
+    for n, total in zip(counts, _label_totals(squares, len(counts))):
         var = _rounded(total) / (n - 1) if n > 1 else 0.0
         # A square that overflowed is inf here, and its sum is out of range.
         out.append(math.sqrt(var / n) if math.isfinite(var) else math.nan)
     return out
 
 
-# Terms per numpy pass, small enough that its buffers (64 KB of floats) stay
-# in cache: 16,384 terms made error_report slower at 20,000 rows.
+# Rows per numpy pass, small enough that its buffers (64 KB of floats) stay
+# in cache: 16,384 terms made error_report slower at 20,000 rows. Every pass
+# over a replication's rows (data generation, fits, predictions, audits)
+# works on blocks of this many rows, so none holds n-sized temporaries.
 _BLOCK = 1 << 13
 # Terms per set of bins: a bin stays exact up to 2**26 terms, as each adds
 # an integer of at most 2**27.
@@ -89,44 +92,66 @@ _BIN_TERMS = 1 << 26
 _EXPONENTS = 2098
 
 
-def _label_totals(values: np.ndarray, labels: np.ndarray, n_labels: int) -> list:
+def _blocks(start: int, stop: int):
+    """The slices of at most ``_BLOCK`` rows that cover rows start to stop, in order."""
+    return (slice(i, min(i + _BLOCK, stop)) for i in range(start, stop, _BLOCK))
+
+
+def _label_totals(pairs, n_labels: int) -> list:
     """Each label's exact sum of its values, for integer labels 0 to n_labels - 1.
 
-    A label's total is an int, its sum in units of 2**-1126, or, where the
-    label has an inf or nan value, IEEE's sum of those values (inf, -inf or
-    nan). Each term splits into two integer limbs that are added per
-    (binary exponent, label) bin (Neal, "Fast exact summation using small
-    and large superaccumulators", 2015), so one pass sums every label; the
-    nonzero bins then join into one Python int per label.
+    ``pairs`` yields (values, labels) arrays of equal length, so a caller
+    can stream its terms block by block. A label's total is an int, its sum
+    in units of 2**-1126, or, where the label has an inf or nan value,
+    IEEE's sum of those values (inf, -inf or nan). Each term splits into two
+    integer limbs that are added per (binary exponent, label) bin (Neal,
+    "Fast exact summation using small and large superaccumulators", 2015),
+    so one pass sums every label; the nonzero bins then join into one
+    Python int per label.
     """
-    special = {}
-    finite = np.isfinite(values)
-    if not finite.all():
-        for label in np.unique(labels[~finite]).tolist():
-            special[label] = sum(values[~finite & (labels == label)].tolist())
-        values, labels = values[finite], labels[finite]
-    totals = [0] * n_labels
-    for chunk in range(0, values.shape[0], _BIN_TERMS):
-        his, los = np.zeros((2, _EXPONENTS * n_labels))
-        for start in range(chunk, min(chunk + _BIN_TERMS, values.shape[0]), _BLOCK):
-            lo, expo = np.frexp(values[start : start + _BLOCK])
+    special, totals = {}, [0] * n_labels
+    bins, binned = np.zeros((2, _EXPONENTS * n_labels)), 0
+    for all_values, all_labels in pairs:
+        for block in _blocks(0, all_values.shape[0]):
+            values, labels = all_values[block], all_labels[block]
+            finite = np.isfinite(values)
+            if not finite.all():
+                for label in np.unique(labels[~finite]).tolist():
+                    inf_nan = sum(values[~finite & (labels == label)].tolist())
+                    special[label] = special.get(label, 0.0) + inf_nan
+                values, labels = values[finite], labels[finite]
+            if not values.shape[0]:
+                continue
+            if binned + values.shape[0] > _BIN_TERMS:
+                _join_bins(bins, totals)
+                binned = 0
+            binned += values.shape[0]
+            lo, expo = np.frexp(values)
             lo *= 2.0**27  # the term is lo * 2**(expo - 27)
             hi = np.floor(lo)  # |hi| <= 2**27
             lo -= hi  # 0 <= lo < 1, a multiple of 2**-26
             first = int(expo.min())
-            key = (expo - first) * n_labels + labels[start : start + _BLOCK]
+            key = (expo - first) * n_labels + labels
             offset = (first + 1073) * n_labels
-            for bins, limb in ((his, hi), (los, lo)):
+            for row, limb in zip(bins, (hi, lo)):
                 add = np.bincount(key, weights=limb)
-                bins[offset : offset + add.shape[0]] += add
-        # Bin b holds multiples of 2**(expo - 53), expo = b // n_labels - 1073.
-        # Counted in units of 2**-1126 (frexp's least exponent is -1073) it
-        # shifts by b // n_labels.
-        nonzero = np.flatnonzero((his != 0.0) | (los != 0.0))
-        for b, h, l in zip(nonzero.tolist(), his[nonzero].tolist(), los[nonzero].tolist()):
-            shift, label = divmod(b, n_labels)
-            totals[label] += ((int(h) << 26) + int(l * 2.0**26)) << shift
+                row[offset : offset + add.shape[0]] += add
+    _join_bins(bins, totals)
     return [special.get(label, total) for label, total in enumerate(totals)]
+
+
+def _join_bins(bins: np.ndarray, totals: list) -> None:
+    """Add the (hi, lo) limb bins of ``_label_totals`` into each label's int total; empty the bins."""
+    n_labels = len(totals)
+    his, los = bins
+    # Bin b holds multiples of 2**(expo - 53), expo = b // n_labels - 1073.
+    # Counted in units of 2**-1126 (frexp's least exponent is -1073) it
+    # shifts by b // n_labels.
+    nonzero = np.flatnonzero((his != 0.0) | (los != 0.0))
+    for b, h, l in zip(nonzero.tolist(), his[nonzero].tolist(), los[nonzero].tolist()):
+        shift, label = divmod(b, n_labels)
+        totals[label] += ((int(h) << 26) + int(l * 2.0**26)) << shift
+    bins[:] = 0.0
 
 
 def _rounded(total) -> float:
@@ -146,17 +171,18 @@ def _exact_sum(values: np.ndarray) -> float:
     IEEE's sum of those terms (inf, -inf or nan), and an exact sum outside
     the float range gives nan.
     """
-    (total,) = _label_totals(values, np.zeros(values.shape[0], dtype=np.uint8), 1)
+    (total,) = _label_totals([(values, np.zeros(values.shape[0], dtype=np.uint8))], 1)
     return _rounded(total)
 
 
 def error_report(predictions, truths, groups) -> ErrorReport:
     """Audit predictions against truths, split by the 0/1 group labels.
 
-    Two exact-sum passes make the report. The first sums each group's
-    errors; the population's exact sum is theirs added. The second sums the
-    squared deviations of each group's errors from its mean and of all the
-    errors from the population mean, under labels 0, 1 and 2.
+    Two exact-sum passes make the report, each streaming the rows in
+    blocks of ``_BLOCK``. The first sums each group's errors; the
+    population's exact sum is theirs added. The second sums the squared
+    deviations of each group's errors from its mean and of all the errors
+    from the population mean, under labels 0, 1 and 2.
 
     Raises ConfigError if the lengths differ or a label is not 0 or 1, and
     EmptyGroupError if either group has no rows.
@@ -166,30 +192,41 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     groups = np.asarray(groups)
     if not predictions.shape == truths.shape == groups.shape:
         raise ConfigError("predictions, truths and groups must have equal length")
-    in1 = groups == 1
-    stray = ~(in1 | (groups == 0))
-    if stray.any():
-        raise ConfigError("group labels must be 0 or 1, got %r" % (groups[stray][0],))
-    n = in1.shape[0]
-    n1 = int(np.count_nonzero(in1))
+    n, n1 = groups.shape[0], 0
+    for block in _blocks(0, n):
+        in1 = groups[block] == 1
+        stray = ~(in1 | (groups[block] == 0))
+        if stray.any():
+            raise ConfigError("group labels must be 0 or 1, got %r" % (groups[block][stray][0],))
+        n1 += int(np.count_nonzero(in1))
     if n1 == 0 or n1 == n:
         raise EmptyGroupError("both groups must be nonempty, got sizes %d and %d" % (n - n1, n1))
-    e = predictions - truths
-    labels = in1.view(np.uint8)
-    total0, total1 = _label_totals(e, labels, 2)
+
+    def errors():
+        """Each block's errors and their group labels, as uint8."""
+        for block in _blocks(0, n):
+            yield predictions[block] - truths[block], (groups[block] == 1).view(np.uint8)
+
+    total0, total1 = _label_totals(errors(), 2)
     # A non-finite total decides the population's, as in _exact_sum.
     special = [t for t in (total0, total1) if isinstance(t, float)]
     total = sum(special) if special else total0 + total1
     counts = (n - n1, n1, n)
     b0, b1, b_pop = (_rounded(t) / c for t, c in zip((total0, total1, total), counts))
-    squares = np.empty((2, n))
+    population = np.full(min(n, _BLOCK), 2, np.uint8)
+
+    def squares():
+        """Each block's squared deviations from its group's mean, then from the population's."""
+        for e, labels in errors():
+            group = e - np.where(labels, b1, b0)
+            group *= group
+            yield group, labels
+            e -= b_pop
+            e *= e
+            yield e, population[: e.shape[0]]
+
     with np.errstate(over="ignore", invalid="ignore"):
-        np.subtract(e, np.where(in1, b1, b0), out=squares[0])
-        np.subtract(e, b_pop, out=squares[1])
-        squares *= squares
-    se0, se1, se_pop = _standard_errors(
-        counts, squares.ravel(), np.concatenate([labels, np.full(n, 2, np.uint8)])
-    )
+        se0, se1, se_pop = _standard_errors(counts, squares())
     return ErrorReport(
         b_pop=b_pop,
         b_group0=b0,

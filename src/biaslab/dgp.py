@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _special
+from . import _special, audit
 from .exceptions import ConfigError
 from .moments import MixtureSpec, _reals
 
@@ -152,21 +152,30 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
     Cholesky factor; regression outcomes add N(0,1) noise; classification
     outcomes store the exact risk in ``y`` and a Bernoulli draw in ``z``.
     Identical (spec, seed) gives a bit-identical Dataset.
+
+    The rows are drawn block by block (``audit._BLOCK`` rows) straight into
+    the output columns: each group's features, then every row's outcome.
+    Each block's draws continue the stream where the last block's ended, so
+    the Dataset does not depend on the block size, and nothing n-sized is
+    made besides it.
     """
     rng = np.random.Generator(np.random.Philox(key=int(seed) & _SEED_MASK))
     n = 2 * spec.n_per_group
     sizes = spec.group_sizes
-    parts = []
-    for g, size in zip(spec.mixture.groups, sizes):
-        standard = rng.standard_normal((size, 2))
-        parts.append(standard @ g.cholesky().T + g.mean_array())
-    features = np.vstack(parts)
-    x1 = features[:, 0].copy()
-    x2 = features[:, 1].copy()
+    x1, x2, y = np.empty(n), np.empty(n), np.empty(n)
+    for g, (start, stop) in zip(spec.mixture.groups, ((0, sizes[0]), (sizes[0], n))):
+        factor, mean = g.cholesky().T, g.mean_array()
+        for block in audit._blocks(start, stop):
+            features = rng.standard_normal((block.stop - block.start, 2)) @ factor
+            features += mean
+            x1[block], x2[block] = features.T
     a = np.repeat(np.array([0, 1], dtype=np.int64), sizes)
-
-    y = conditional_mean(spec.family, spec.beta, x1, x2)
-    if spec.family in CLASSIFICATION_FAMILIES:
-        z = (rng.random(n) < y).astype(np.int64)
-        return Dataset(x1=x1, x2=x2, a=a, y=y, z=z)
-    return Dataset(x1=x1, x2=x2, a=a, y=y + rng.standard_normal(n), z=None)
+    classify = spec.family in CLASSIFICATION_FAMILIES
+    z = np.empty(n, dtype=np.int64) if classify else None
+    for block in audit._blocks(0, n):
+        y[block] = conditional_mean(spec.family, spec.beta, x1[block], x2[block])
+        if classify:
+            np.less(rng.random(block.stop - block.start), y[block], out=z[block])
+        else:
+            y[block] += rng.standard_normal(block.stop - block.start)
+    return Dataset(x1=x1, x2=x2, a=a, y=y, z=z)

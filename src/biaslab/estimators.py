@@ -2,10 +2,12 @@
 
 The maximum-likelihood fits use damped Newton with analytic gradients and
 Hessians (start at zero, step-halving line search, hard iteration cap). One
-link evaluation per trial point gives each row's log-likelihood term, slope
-and curvature, and the information matrix comes from the design's column
-products, stored once per fit (the intercept makes the first k of them the
-design itself). Row weights let the same loop fit a population, given as
+link evaluation per row and trial point gives the row's log-likelihood term,
+slope and curvature, and the information matrix comes from the design's
+column products (the intercept makes the first k of them the design itself).
+Every pass over the rows, in the fits and in ``predict``, works on blocks of
+``audit._BLOCK`` rows in one reused buffer, so a fit holds its data and
+O(block) more. Row weights let the same loop fit a population, given as
 quadrature nodes, for the pseudo-true fits of ``_population_errors``.
 
 The forest is bagged CART with a variance-reduction split criterion. One
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _special
+from . import _special, audit
 from .dgp import Dataset, DgpSpec, conditional_mean, derive_seed
 from .exceptions import (
     BiaslabError, ConfigError, ConvergenceError, DegenerateVarianceError, RankDeficiencyError,
@@ -59,14 +61,53 @@ def _check_features(features: str) -> None:
         raise ConfigError("features must be one of %r, got %r" % (FEATURE_SETS, features))
 
 
-def _design(x1: np.ndarray, x2: np.ndarray | None, features: str) -> np.ndarray:
+def _columns(x1, x2, features: str) -> tuple[np.ndarray, ...]:
+    """The selected feature columns as float arrays, (x1,) or (x1, x2): the design less its intercept."""
     _check_features(features)
     x1 = np.asarray(x1, dtype=float)
     if features == "x1_only":
-        return np.column_stack([np.ones_like(x1), x1])
+        return (x1,)
     if x2 is None:
         raise ConfigError("features='both' requires x2")
-    return np.column_stack([np.ones_like(x1), x1, np.asarray(x2, dtype=float)])
+    return x1, np.asarray(x2, dtype=float)
+
+
+def _design_blocks(columns: tuple[np.ndarray, ...]):
+    """Each block of rows as its slice and its rows of the design x = (1, x1[, x2]).
+
+    The blocks hold at most ``audit._BLOCK`` rows and share one (rows, k)
+    buffer, which the next block overwrites, so a pass over the rows holds
+    nothing n-sized. The buffer is row-major, so ``x @ coef`` on a block
+    gives each row the bits it gets on the whole design.
+    """
+    n = columns[0].shape[0]
+    buffer = np.empty((min(n, audit._BLOCK), len(columns) + 1))
+    buffer[:, 0] = 1.0
+    for block in audit._blocks(0, n):
+        x = buffer[: block.stop - block.start]
+        for j, column in enumerate(columns, 1):
+            x[:, j] = column[block]
+        yield block, x
+
+
+def _product_blocks(columns: tuple[np.ndarray, ...]):
+    """Each block of rows as its slice and the products x_i * x_j (i <= j) of its design's columns.
+
+    One product per row of a reused (k(k+1)/2, block rows) buffer, in
+    row-major (i, j) order. As x_0 is 1, the first k rows are the block's
+    design, transposed: a row of ones, then the feature columns, copied in.
+    """
+    n, k = columns[0].shape[0], len(columns) + 1
+    buffer = np.empty((k * (k + 1) // 2, min(n, audit._BLOCK)))
+    buffer[0] = 1.0
+    pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
+    for block in audit._blocks(0, n):
+        rows = buffer[:, : block.stop - block.start]
+        for j, column in enumerate(columns, 1):
+            rows[j] = column[block]
+        for r, (i, j) in enumerate(pairs, k):
+            np.multiply(rows[i], rows[j], out=rows[r])
+        yield block, rows
 
 
 @dataclass(frozen=True)
@@ -118,21 +159,34 @@ def fit_ols(data: Dataset, features: str) -> FittedModel:
 
     Solves the normal equations (``_least_squares``). Full column rank is
     required: at least as many rows as columns, and a smallest/largest
-    singular value ratio above 1e-10, else RankDeficiencyError.
+    singular value ratio above 1e-10 (``_singular_values``), else
+    RankDeficiencyError.
     """
-    x = _design(data.x1, data.x2, features)
-    if x.shape[0] < x.shape[1]:
+    columns = _columns(data.x1, data.x2, features)
+    n, k = columns[0].shape[0], len(columns) + 1
+    if n < k:
         raise RankDeficiencyError(
-            "design has %d rows for %d columns; least squares is underdetermined" % x.shape
+            "design has %d rows for %d columns; least squares is underdetermined" % (n, k)
         )
-    sv = np.linalg.svd(x, compute_uv=False)
+    sv = _singular_values(columns)
     if sv[0] == 0.0 or sv[-1] / sv[0] <= _RANK_TOL:
         raise RankDeficiencyError(
             "design matrix is rank deficient (singular value ratio %.3e)"
             % (sv[-1] / sv[0] if sv[0] else 0.0)
         )
-    coef = _least_squares(x, np.asarray(data.y, dtype=float), np.ones(x.shape[0]))
+    coef = _least_squares(columns, np.asarray(data.y, dtype=float))
     return FittedModel(family="ols", features=features, coefficients=tuple(coef))
+
+
+def _singular_values(columns: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The design's singular values, largest first, from the R factor of each block's QR.
+
+    The design is the block-diagonal matrix of the blocks' Q factors, whose
+    columns are orthonormal, times the stacked R factors, so the two share
+    their singular values (TSQR: Demmel, Grigori, Hoemmen & Langou 2012).
+    """
+    factors = [np.linalg.qr(x, mode="r") for _, x in _design_blocks(columns)]
+    return np.linalg.svd(np.vstack(factors), compute_uv=False)
 
 
 def _signed(values: np.ndarray, z) -> np.ndarray:
@@ -206,24 +260,11 @@ class _LogitLink(_BernoulliLink):
         return ll, slope, curvature
 
 
-def _product_rows(x: np.ndarray) -> np.ndarray:
-    """The products x_i * x_j (i <= j) of the columns of x, one per row, in row-major (i, j) order.
-
-    With x[:, 0] all ones, as in ``_design``, the first k rows are the
-    columns of x themselves.
-    """
-    n, k = x.shape
-    rows = np.empty((k * (k + 1) // 2, n))
-    for r, (i, j) in enumerate(zip(*np.triu_indices(k))):
-        np.multiply(x[:, i], x[:, j], out=rows[r])
-    return rows
-
-
 # Cached per k: building the index on each call cost more than the products
 # over a population fit's 48 or 1,152 quadrature rows.
 @functools.cache
 def _product_index(k: int) -> np.ndarray:
-    """The k x k matrix of each (i, j)'s row in ``_product_rows``, (j, i) sharing it."""
+    """The k x k matrix of each (i, j)'s row in ``_product_blocks``, (j, i) sharing it."""
     i, j = np.triu_indices(k)
     index = np.empty((k, k), dtype=np.intp)
     index[i, j] = index[j, i] = np.arange(i.size)
@@ -231,65 +272,87 @@ def _product_index(k: int) -> np.ndarray:
     return index
 
 
-def _information(rows: np.ndarray, curvature: np.ndarray, k: int) -> np.ndarray:
-    """x.T @ (x * curvature[:, None]) from x's product rows: the k x k Newton information."""
-    return (rows @ curvature)[_product_index(k)]
+def _fsum(vectors: list[np.ndarray]) -> np.ndarray:
+    """The exactly rounded sum of equal-length vectors, entry by entry (``math.fsum``)."""
+    return np.array([math.fsum(entry) for entry in np.transpose(vectors).tolist()])
 
 
-def _least_squares(x: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _least_squares(columns: tuple[np.ndarray, ...], y: np.ndarray, weights=None) -> np.ndarray:
     """The solution of x.T W x b = x.T W y, W = diag(weights), by LU with partial pivoting.
 
-    Both sides come from x's column products, as the Newton information
-    does: each is a (rows, n) @ (n,) product, which BLAS gives each output
-    to one thread, so the bits do not depend on the BLAS thread count. A
-    product x.T @ x would split its sums over rows between threads.
+    x is the design on ``columns``; ``weights`` None weighs every row 1.
+    Each block adds its column products times its weights, a (products,
+    rows) @ (rows,) product, as the Newton information does: BLAS gives
+    each output of such a product to one thread, so the bits do not depend
+    on the BLAS thread count (x.T @ x would split its sums over rows between
+    threads). The blocks' shares are then summed exactly (``_fsum``).
     """
-    rows = _product_rows(x)
-    k = x.shape[1]
-    return np.linalg.solve(_information(rows, weights, k), rows[:k] @ (weights * y))
+    k = len(columns) + 1
+    ones = np.ones(min(y.shape[0], audit._BLOCK))
+    products, rhs = [], []
+    for block, rows in _product_blocks(columns):
+        w = ones[: rows.shape[1]] if weights is None else weights[block]
+        products.append(rows @ w)
+        rhs.append(rows[:k] @ (w * y[block]))
+    return np.linalg.solve(_fsum(products)[_product_index(k)], _fsum(rhs))
 
 
 def _newton_mle(
-    x: np.ndarray, z: np.ndarray, link, weights=1.0, grad_tol: float = _GRAD_TOL,
-    max_index: float = _SEPARATION_INDEX,
+    columns: tuple[np.ndarray, ...], z: np.ndarray, link, weights=1.0,
+    grad_tol: float = _GRAD_TOL, max_index: float = _SEPARATION_INDEX,
 ) -> tuple[np.ndarray, FitDiagnostics]:
     """Damped Newton ascent of the Bernoulli log-likelihood, each row weighted.
 
-    ``weights`` multiplies each row's log-likelihood term, slope and
-    curvature in place: 1.0 for a sample, whose bits it keeps, and a row's
-    probability mass for a population (``_population_errors``). Starts at
-    zero and returns once the gradient's max-norm is at most ``grad_tol``
-    (1e-6) or the last full Newton step is at most 1e-10 * max(1, max|coef|);
-    neither after 100 steps raises ConvergenceError. Each step is halved
-    until the log-likelihood does not decrease beyond its own rounding floor
-    (relative 1e-12; the true improvement of a near-optimal step can round
-    away in a sum of n terms). A full Newton step, before any halving, whose
-    index magnitudes pass ``max_index`` (30) raises SeparationError: the
-    MLE is running off to infinity.
+    The design is x = (1, x1[, x2]) on the feature ``columns``. ``weights``
+    multiplies each row's log-likelihood term, slope and curvature in place:
+    1.0 for a sample, whose bits it keeps, and a row's probability mass for
+    a population (``_population_errors``). Starts at zero and returns once
+    the gradient's max-norm is at most ``grad_tol`` (1e-6) or the last full
+    Newton step is at most 1e-10 * max(1, max|coef|); neither after 100
+    steps raises ConvergenceError. Each step is halved until the
+    log-likelihood does not decrease beyond its own rounding floor (relative
+    1e-12; the true improvement of a near-optimal step can round away in a
+    sum of n terms). A full Newton step, before any halving, whose index
+    magnitudes pass ``max_index`` (30) raises SeparationError: the MLE is
+    running off to infinity.
 
-    ``link.terms`` runs once per trial point, and the accepted point's
-    slopes and curvatures give the next gradient and information. Both
-    come from x's column products, stored once as ``_product_rows``; x's
-    first column is ones (``_design``), so rows[:k] is x itself and x is
-    not kept.
+    ``link.terms`` runs once per row and trial point, and the accepted
+    point's slopes and curvatures give the next gradient and information.
+    Each trial point is one pass over ``_product_blocks``: a block's index,
+    link terms and shares of the three sums, which are then summed exactly
+    over the blocks (``_fsum``), so nothing n-sized is held.
     """
     if z.min() == z.max():
         raise SeparationError("all outcomes are the same class; the MLE does not exist")
-    k = x.shape[1]
-    rows = _product_rows(x)
-    del x
-    design = rows[:k]
+    k = len(columns) + 1
 
-    def ascent(eta: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        """Log-likelihood, gradient and information at index eta from one link evaluation."""
-        ll, slope, curvature = link.terms(eta, z)
-        ll *= weights
-        slope *= weights
-        curvature *= weights
-        return float(np.sum(ll)), design @ _signed(slope, z), _information(rows, curvature, k)
+    def ascent(coef: np.ndarray, guard=None) -> tuple[float, np.ndarray, np.ndarray]:
+        """Log-likelihood, gradient and information at coef from one link evaluation per row.
+
+        ``guard``, the iteration number of a full Newton step, tests each
+        block's index against ``max_index`` before its link evaluation.
+        """
+        ll, grad, products = [], [], []
+        for block, rows in _product_blocks(columns):
+            eta = coef @ rows[:k]
+            if guard is not None and float(np.max(np.abs(eta))) > max_index:
+                raise SeparationError(
+                    "index magnitudes exceed %g at iteration %d; data appear separable"
+                    % (max_index, guard)
+                )
+            w = weights[block] if isinstance(weights, np.ndarray) else weights
+            labels = z[block]
+            terms, slope, curvature = link.terms(eta, labels)
+            terms *= w
+            slope *= w
+            curvature *= w
+            ll.append(float(np.sum(terms)))
+            grad.append(rows[:k] @ _signed(slope, labels))
+            products.append(rows @ curvature)
+        return math.fsum(ll), _fsum(grad), _fsum(products)[_product_index(k)]
 
     coef, step = np.zeros(k), np.full(k, math.inf)  # no step taken yet
-    ll, grad, info = ascent(coef @ design)
+    ll, grad, info = ascent(coef)
     trace = [ll]
     for iteration in range(_MAX_ITER + 1):
         grad_max = float(np.max(np.abs(grad)))
@@ -308,23 +371,14 @@ def _newton_mle(
         except np.linalg.LinAlgError as err:
             raise ConvergenceError("singular information matrix: %s" % err) from err
 
-        trial = coef + step
-        eta_trial = trial @ design
-        if float(np.max(np.abs(eta_trial))) > max_index:
-            raise SeparationError(
-                "index magnitudes exceed %g at iteration %d; data appear separable"
-                % (max_index, iteration + 1)
-            )
-
         slack = 1e-12 * max(1.0, abs(ll))
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
-            ll_trial, grad_trial, info_trial = ascent(eta_trial)
+            trial = coef + scale * step
+            ll_trial, grad_trial, info_trial = ascent(trial, iteration + 1 if scale == 1.0 else None)
             if ll_trial >= ll - slack:
                 break
             scale *= 0.5
-            trial = coef + scale * step
-            eta_trial = trial @ design
         else:
             raise ConvergenceError(
                 "line search failed after %d halvings at iteration %d"
@@ -337,10 +391,9 @@ def _newton_mle(
 def _fit_mle(data: Dataset, features: str, link, family: str) -> FittedModel:
     if data.z is None:
         raise ConfigError("classification fit requires a dataset with z labels")
-    # Neither the design nor a float copy of z is kept here: _newton_mle frees
-    # the design once it has its product rows, and the labels may stay integers.
+    # The labels may stay integers: no float copy of z is made.
     z = np.asarray(data.z)
-    coef, diagnostics = _newton_mle(_design(data.x1, data.x2, features), z, link)
+    coef, diagnostics = _newton_mle(_columns(data.x1, data.x2, features), z, link)
     return FittedModel(
         family=family,
         features=features,
@@ -403,19 +456,21 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
         y.append(conditional_mean(spec.family, np.divide(spec.beta, scale), x1[-1], x2[-1]))
     x1, x2, y = np.concatenate(x1), np.concatenate(x2), np.concatenate(y)
     wts = np.concatenate([p * w for p in spec.mixture.weights])
-    x = _design(x1, x2, features)
-    f = x[:, 1:] - wts @ x[:, 1:]
+    columns = _columns(x1, x2, features)
+    f = np.column_stack(columns)
+    f = f - wts @ f
     smallest = np.linalg.eigvalsh(f.T @ (f * wts[:, None]))[0]
     if smallest <= 1e-12:
         raise DegenerateVarianceError("Var(X1) = %r; the features' population covariance "
                                       "has eigenvalue %r" % (wts @ f[:, 0] ** 2, smallest))
     if model == "ols":
-        coef = _least_squares(x, y, wts)
+        coef = _least_squares(columns, y, wts)
     else:
         link = _ProbitLink if model == "probit" else _LogitLink
         z = np.repeat([1.0, 0.0], y.shape[0])
         mass = np.concatenate([wts * y, wts * (1.0 - y)])
-        coef, _ = _newton_mle(np.vstack([x, x]), z, link, mass, grad_tol=0.0, max_index=math.inf)
+        doubled = tuple(np.concatenate([c, c]) for c in columns)
+        coef, _ = _newton_mle(doubled, z, link, mass, grad_tol=0.0, max_index=math.inf)
     fitted = FittedModel(family=model, features=features, coefficients=tuple(coef))
     gap0, gap1 = np.split(predict(fitted, x1, x2) - y, 2)
     return float(w @ gap0), float(w @ gap1)
@@ -543,7 +598,7 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     tree drew raises BiaslabError.
     """
     # trees do not use an intercept
-    x = np.ascontiguousarray(_design(data.x1, data.x2, features)[:, 1:])
+    x = np.column_stack(_columns(data.x1, data.x2, features))
     y = np.asarray(data.y, dtype=float)
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
@@ -600,20 +655,24 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     over the tree count: for two or more rows bit-identical to numpy's
     axis-0 mean of the stacked scores, which for one row sums pairwise
     (last bit). On the training rows this is the in-sample score; the
-    out-of-bag one is the model's ``fitted``.
+    out-of-bag one is the model's ``fitted``. The other families fill their
+    scores block by block (``_design_blocks``) and apply the link in place.
     """
+    columns = _columns(x1, x2, model.features)
     if model.family == "forest":
-        xmat = np.ascontiguousarray(_design(x1, x2, model.features)[:, 1:])
+        xmat = np.column_stack(columns)
         total = _tree_predict(model.forest[0], xmat)
         for tree in model.forest[1:]:
             total += _tree_predict(tree, xmat)
         return total / len(model.forest)
-    x = _design(x1, x2, model.features)
-    index = x @ np.asarray(model.coefficients, dtype=float)
-    if model.family == "ols":
-        return index
+    if model.family not in ("ols", "probit", "logit"):
+        raise ConfigError("unknown model family %r" % (model.family,))
+    coef = np.asarray(model.coefficients, dtype=float)
+    index = np.empty(columns[0].shape[0])
+    for block, x in _design_blocks(columns):
+        np.matmul(x, coef, out=index[block])
     if model.family == "probit":
-        return _special.ndtr(index)
+        return _special.ndtr(index, out=index)
     if model.family == "logit":
-        return _special.expit(index)
-    raise ConfigError("unknown model family %r" % (model.family,))
+        return _special.expit(index, out=index)
+    return index

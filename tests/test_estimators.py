@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from scipy.special import expit, log_ndtr, ndtr
 
-from biaslab import estimators
-from biaslab.dgp import DgpSpec, derive_seed, generate
+from biaslab import _special, audit, estimators
+from biaslab.audit import error_report
+from biaslab.dgp import Dataset, DgpSpec, derive_seed, generate
 from biaslab.estimators import (
     MAX_DEPTH,
     MIN_LEAF,
@@ -25,6 +26,8 @@ from biaslab.estimators import (
     predict,
 )
 from biaslab.exceptions import BiaslabError, RankDeficiencyError, SeparationError
+
+from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE
 
 from conftest import fresh_python, independent_mixture, make_mixture
 
@@ -51,20 +54,25 @@ def toy(x1, z):
 # --- least squares ---
 
 
-def test_ols_coefficients_do_not_depend_on_the_blas_thread_count():
+def test_fits_and_predictions_do_not_depend_on_the_blas_thread_count():
     # At 200,000 rows OpenBLAS split x.T @ x's sums over rows between two
-    # threads, and the last bits of these coefficients moved with the count.
+    # threads, and the last bits of ols coefficients moved with the count.
     code = """
+import hashlib
 import numpy as np
 from biaslab.dgp import DgpSpec, generate
-from biaslab.estimators import fit_ols
+from biaslab.estimators import fit_logit, fit_ols, fit_probit, predict
 from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE
-data = generate(DgpSpec("linear", TABLE_BETA, TABLE_MIXTURE, 100_000), 7)
-for features in ("both", "x1_only"):
-    print(np.array(fit_ols(data, features).coefficients).tobytes().hex())
+for family, fit in (("linear", fit_ols), ("probit", fit_probit), ("logit", fit_logit)):
+    data = generate(DgpSpec(family, TABLE_BETA, TABLE_MIXTURE, 100_000), 7)
+    for features in ("both", "x1_only"):
+        model = fit(data, features)
+        print(np.array(model.coefficients).tobytes().hex())
+        print(hashlib.sha256(predict(model, data.x1, data.x2).tobytes()).hexdigest())
 """
     one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=str(t)) for t in (1, 2))
     assert one == two
+    assert len(one.split()) == 12
 
 
 def test_ols_noiseless_recovery():
@@ -102,6 +110,40 @@ def test_ols_rejects_collinear_designs():
     ds = Dataset(x1=x1, x2=2.0 * x1, a=np.zeros(30, dtype=np.int64), y=x1.copy())
     with pytest.raises(RankDeficiencyError):
         fit_ols(ds, "both")
+
+
+def rank_designs():
+    """Intercept/x1/x2 designs of 2 blocks + 17 rows: x1 shifted, x2 = x1 + collinearity * noise."""
+    rng = np.random.default_rng(0)
+    n = 2 * audit._BLOCK + 17
+    u, v = rng.standard_normal(n), rng.standard_normal(n)
+    for shift in (0.0, 1e3, 1e5):
+        for collinearity in (1e-6, 1e-7, 1e-8, 1e-9, 3e-10, 1e-10, 3e-11, 1e-11):
+            x1 = shift + u
+            yield x1, x1 + collinearity * v
+
+
+def test_block_r_factors_give_the_full_design_singular_value_ratio():
+    # The rank rule reads the ratio from the blocks' stacked R factors; a
+    # full-design SVD is the reference. Below a ratio of 1e-12 both are
+    # rounding, and only the verdict is compared.
+    near_rule = set()
+    for x1, x2 in rank_designs():
+        full = np.linalg.svd(np.column_stack([np.ones_like(x1), x1, x2]), compute_uv=False)
+        want = full[-1] / full[0]
+        blocks = estimators._singular_values((x1, x2))
+        got = blocks[-1] / blocks[0]
+        if want >= 1e-12:
+            assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+        data = Dataset(x1=x1, x2=x2, a=np.zeros(x1.shape[0], dtype=np.int64), y=x1 - x2)
+        if want <= 1e-10:
+            with pytest.raises(RankDeficiencyError, match="rank deficient"):
+                fit_ols(data, "both")
+        else:
+            assert len(fit_ols(data, "both").coefficients) == 3
+        if 1e-11 < want < 1e-9:
+            near_rule.add(want > 1e-10)
+    assert near_rule == {False, True}  # a design on each side of the rule
 
 
 def test_ols_rejects_fewer_rows_than_columns():
@@ -261,14 +303,26 @@ def test_newton_with_two_sided_links_gives_the_same_fits(family, fit, reference)
         ds = dataset(family, (-1.0, 0.7, 0.4), n=2_000, seed=300 + seed)
         for features in estimators.FEATURE_SETS:
             model = fit(ds, features)
-            x = estimators._design(ds.x1, ds.x2, features)
-            coef, diagnostics = estimators._newton_mle(x, ds.z.astype(float), reference)
+            columns = estimators._columns(ds.x1, ds.x2, features)
+            coef, diagnostics = estimators._newton_mle(columns, ds.z.astype(float), reference)
             assert model.coefficients == tuple(coef)
             assert model.diagnostics == diagnostics
     ds = toy([-5.0, -0.05, 0.05, 5.0], [0, 0, 1, 1])
-    x = estimators._design(ds.x1, None, "x1_only")
+    columns = estimators._columns(ds.x1, None, "x1_only")
     with pytest.raises(SeparationError) as want:
-        estimators._newton_mle(x, ds.z.astype(float), reference)
+        estimators._newton_mle(columns, ds.z.astype(float), reference)
+    with pytest.raises(SeparationError) as got:
+        fit(ds, "x1_only")
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("fit", [fit_probit, fit_logit])
+def test_the_separation_guard_reads_every_block(fit, monkeypatch):
+    # One row per block: the rows that pass the index limit are in the last blocks.
+    ds = toy([-0.05, 0.05, -5.0, 5.0], [0, 1, 0, 1])
+    with pytest.raises(SeparationError) as want:
+        fit(ds, "x1_only")
+    monkeypatch.setattr(audit, "_BLOCK", 1)
     with pytest.raises(SeparationError) as got:
         fit(ds, "x1_only")
     assert str(got.value) == str(want.value)
@@ -276,7 +330,7 @@ def test_newton_with_two_sided_links_gives_the_same_fits(family, fit, reference)
 
 def test_a_refused_full_step_is_halved():
     ds = dataset("logit", (-1.0, 0.7, 0.4), n=2_000, seed=300)
-    x = estimators._design(ds.x1, ds.x2, "both")
+    columns = estimators._columns(ds.x1, ds.x2, "both")
     z = ds.z.astype(float)
     calls = []
 
@@ -287,10 +341,10 @@ def test_a_refused_full_step_is_halved():
             ll, slope, curvature = _LogitLink.terms(eta, z)
             return (np.full_like(ll, -math.inf) if len(calls) == 2 else ll), slope, curvature
 
-    coef, diagnostics = estimators._newton_mle(x, z, RefuseFirstStep)
-    rows = estimators._product_rows(x)
+    coef, diagnostics = estimators._newton_mle(columns, z, RefuseFirstStep)
+    ((_, rows),) = estimators._product_blocks(columns)  # 4,000 rows: one block
     u, w = _LogitLink.grad_weights(np.zeros(z.shape[0]), z)
-    step = np.linalg.solve(estimators._information(rows, w, 3), rows[:3] @ u)
+    step = np.linalg.solve((rows @ w)[estimators._product_index(3)], rows[:3] @ u)
     assert diagnostics.log_likelihood[1] == _LogitLink.loglik((0.5 * step) @ rows[:3], z)
     assert coef == pytest.approx(fit_logit(ds, "both").coefficients, abs=1e-6)
 
@@ -328,26 +382,30 @@ def test_logit_terms_match_independent_formulas():
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_product_row_information_equals_the_weighted_cross_product(k):
+def test_product_row_information_equals_the_weighted_cross_product(k, monkeypatch):
+    monkeypatch.setattr(audit, "_BLOCK", 1_024)  # five blocks, the last one short
     rng = np.random.default_rng(23)
     n = 5_000
     x = np.column_stack([np.ones(n)] + [m + rng.standard_normal(n) for m in (1.0, 3.0)[: k - 1]])
     w = rng.random(n) * 0.25
-    rows = estimators._product_rows(x)
+    blocks = [(block, rows.copy()) for block, rows in estimators._product_blocks(tuple(x.T[1:]))]
+    rows = np.hstack([block_rows for _, block_rows in blocks])
+    information = estimators._fsum([block_rows @ w[block] for block, block_rows in blocks])
     assert np.array_equal(rows[:k], x.T)
     np.testing.assert_allclose(
-        estimators._information(rows, w, k), x.T @ (x * w[:, None]), rtol=1e-13, atol=0.0
+        information[estimators._product_index(k)], x.T @ (x * w[:, None]), rtol=1e-13, atol=0.0
     )
 
 
 @pytest.mark.parametrize("link", [_ProbitLink, _LogitLink])
 def test_row_weights_act_as_row_counts(link):
     ds = dataset("probit", (-1.0, 0.7, 0.4), n=1_000, seed=43)
-    x = estimators._design(ds.x1, ds.x2, "both")
+    columns = estimators._columns(ds.x1, ds.x2, "both")
     z = ds.z.astype(float)
     counts = np.random.default_rng(47).integers(1, 4, size=z.shape[0])
-    weighted, _ = estimators._newton_mle(x, z, link, counts.astype(float))
-    repeated, _ = estimators._newton_mle(np.repeat(x, counts, axis=0), np.repeat(z, counts), link)
+    weighted, _ = estimators._newton_mle(columns, z, link, counts.astype(float))
+    repeated_columns = tuple(np.repeat(c, counts) for c in columns)
+    repeated, _ = estimators._newton_mle(repeated_columns, np.repeat(z, counts), link)
     np.testing.assert_allclose(weighted, repeated, rtol=0.0, atol=1e-10)
 
 
@@ -363,6 +421,46 @@ def test_mle_fit_peaks_at_twelve_and_a_half_row_arrays(family, fit):
     finally:
         tracemalloc.stop()
     assert peak <= 12.5 * 8 * n
+
+
+@pytest.mark.parametrize(
+    "family,fit", [("linear", fit_ols), ("probit", fit_probit), ("logit", fit_logit)]
+)
+@pytest.mark.parametrize("features", estimators.FEATURE_SETS)
+def test_blocked_fits_match_one_block_over_all_rows(family, fit, features, monkeypatch):
+    # 2 blocks + 17 rows: two full blocks and a short one, against one block.
+    n = 2 * audit._BLOCK + 17
+    full = dataset(family, (-1.0, 0.7, 0.4), n=n // 2 + 1, seed=61)
+    ds = Dataset(*(c if c is None else c[:n] for c in (full.x1, full.x2, full.a, full.y, full.z)))
+    model = fit(ds, features)
+    scores = predict(model, ds.x1, ds.x2)
+    report = error_report(scores, ds.y, ds.a)
+    monkeypatch.setattr(audit, "_BLOCK", n)
+    one_block = fit(ds, features)
+    np.testing.assert_allclose(model.coefficients, one_block.coefficients, rtol=1e-12, atol=0.0)
+    # Relative to the largest score: an ols score can sit at 0.
+    gap = np.abs(scores - predict(one_block, ds.x1, ds.x2))
+    assert np.max(gap) <= 1e-12 * np.max(np.abs(scores))
+    assert error_report(scores, ds.y, ds.a) == report
+
+
+def test_a_replication_holds_its_dataset_and_little_more():
+    # Each pass streams the rows through fixed blocks, so a probit/both
+    # replication at 100,000 rows per group peaks near its own data (5 row
+    # arrays) and predictions (1 more); 17 MiB more when the fit kept
+    # n-sized temporaries.
+    spec = DgpSpec(family="probit", beta=TABLE_BETA, mixture=TABLE_MIXTURE, n_per_group=100_000)
+    _special.ndtr, _special.log_ndtr  # load the ufuncs before tracing
+    tracemalloc.start()
+    try:
+        ds = generate(spec, 3)
+        model = fit_probit(ds, "both")
+        error_report(predict(model, ds.x1, ds.x2), ds.y, ds.a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    own = sum(column.nbytes for column in (ds.x1, ds.x2, ds.a, ds.y, ds.z))
+    assert peak <= own + 6 * 2**20
 
 
 def test_probit_probabilities_are_probabilities():
