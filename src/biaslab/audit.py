@@ -141,7 +141,7 @@ def _label_totals(pairs, n_labels: int) -> list:
 
 
 def _join_bins(bins: np.ndarray, totals: list) -> None:
-    """Add the (hi, lo) limb bins of ``_label_totals`` into each label's int total; empty the bins."""
+    """Add ``_label_totals``' (hi, lo) limb bins into each label's int total; empty the bins."""
     n_labels = len(totals)
     his, los = bins
     # Bin b holds multiples of 2**(expo - 53), expo = b // n_labels - 1073.

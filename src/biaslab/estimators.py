@@ -62,14 +62,18 @@ def _check_features(features: str) -> None:
 
 
 def _columns(x1, x2, features: str) -> tuple[np.ndarray, ...]:
-    """The selected feature columns as float arrays, (x1,) or (x1, x2): the design less its intercept."""
+    """The selected feature columns, (x1,) or (x1, x2), as float arrays of one shape."""
     _check_features(features)
     x1 = np.asarray(x1, dtype=float)
     if features == "x1_only":
         return (x1,)
     if x2 is None:
         raise ConfigError("features='both' requires x2")
-    return x1, np.asarray(x2, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x2.shape != x1.shape:
+        raise ConfigError("x1 and x2 must have the same shape, got %s and %s"
+                          % (x1.shape, x2.shape))
+    return x1, x2
 
 
 def _design_blocks(columns: tuple[np.ndarray, ...]):
@@ -375,7 +379,8 @@ def _newton_mle(
         scale = 1.0
         for _ in range(_MAX_HALVINGS + 1):
             trial = coef + scale * step
-            ll_trial, grad_trial, info_trial = ascent(trial, iteration + 1 if scale == 1.0 else None)
+            guard = iteration + 1 if scale == 1.0 else None
+            ll_trial, grad_trial, info_trial = ascent(trial, guard)
             if ll_trial >= ll - slack:
                 break
             scale *= 0.5

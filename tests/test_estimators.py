@@ -25,7 +25,7 @@ from biaslab.estimators import (
     fit_probit,
     predict,
 )
-from biaslab.exceptions import BiaslabError, RankDeficiencyError, SeparationError
+from biaslab.exceptions import BiaslabError, ConfigError, RankDeficiencyError, SeparationError
 
 from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE
 
@@ -461,6 +461,16 @@ def test_a_replication_holds_its_dataset_and_little_more():
         tracemalloc.stop()
     own = sum(column.nbytes for column in (ds.x1, ds.x2, ds.a, ds.y, ds.z))
     assert peak <= own + 6 * 2**20
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_probit])
+def test_feature_columns_of_different_lengths_are_refused(fit):
+    ds = dataset("probit", (-1.0, 0.7, 0.4), n=500, seed=5)
+    model = fit(ds, "both")
+    with pytest.raises(ConfigError, match="same shape"):
+        predict(model, ds.x1, ds.x2[:-1])
+    with pytest.raises(ConfigError, match="same shape"):
+        fit(Dataset(ds.x1, ds.x2[1:], ds.a, ds.y, ds.z), "both")
 
 
 def test_probit_probabilities_are_probabilities():
