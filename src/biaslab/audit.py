@@ -124,7 +124,7 @@ def _label_totals(pairs, n_labels: int) -> list:
                 continue
             if binned + values.shape[0] > _BIN_TERMS:
                 _join_bins(bins, totals)
-                binned = 0
+                bins, binned = np.zeros_like(bins), 0
             binned += values.shape[0]
             lo, expo = np.frexp(values)
             lo *= 2.0**27  # the term is lo * 2**(expo - 27)
@@ -141,7 +141,7 @@ def _label_totals(pairs, n_labels: int) -> list:
 
 
 def _join_bins(bins: np.ndarray, totals: list) -> None:
-    """Add ``_label_totals``' (hi, lo) limb bins into each label's int total; empty the bins."""
+    """Add ``_label_totals``' (hi, lo) limb bins into each label's int total."""
     n_labels = len(totals)
     his, los = bins
     # Bin b holds multiples of 2**(expo - 53), expo = b // n_labels - 1073.
@@ -151,7 +151,6 @@ def _join_bins(bins: np.ndarray, totals: list) -> None:
     for b, h, l in zip(nonzero.tolist(), his[nonzero].tolist(), los[nonzero].tolist()):
         shift, label = divmod(b, n_labels)
         totals[label] += ((int(h) << 26) + int(l * 2.0**26)) << shift
-    bins[:] = 0.0
 
 
 def _rounded(total) -> float:
@@ -213,17 +212,19 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     total = sum(special) if special else total0 + total1
     counts = (n - n1, n1, n)
     b0, b1, b_pop = (_rounded(t) / c for t, c in zip((total0, total1, total), counts))
-    population = np.full(min(n, _BLOCK), 2, np.uint8)
+    deviations = np.empty((2, min(n, _BLOCK)))
+    labelled = np.full((2, min(n, _BLOCK)), 2, np.uint8)
 
     def squares():
-        """Each block's squared deviations from its group's mean, then from the population's."""
+        """Each block's squared deviations from its group's mean (label 0 or 1), then from the
+        population's (label 2), in one array."""
         for e, labels in errors():
-            group = e - np.where(labels, b1, b0)
-            group *= group
-            yield group, labels
-            e -= b_pop
-            e *= e
-            yield e, population[: e.shape[0]]
+            d, d_labels = deviations[:, : e.shape[0]], labelled[:, : e.shape[0]]
+            np.subtract(e, np.where(labels, b1, b0), out=d[0])
+            np.subtract(e, b_pop, out=d[1])
+            d *= d
+            d_labels[0] = labels
+            yield d.ravel(), d_labels.ravel()
 
     with np.errstate(over="ignore", invalid="ignore"):
         se0, se1, se_pop = _standard_errors(counts, squares())

@@ -94,24 +94,35 @@ def _design_blocks(columns: tuple[np.ndarray, ...]):
         yield block, x
 
 
-def _product_blocks(columns: tuple[np.ndarray, ...]):
-    """Each block of rows as its slice and the products x_i * x_j (i <= j) of its design's columns.
+class _ProductBlocks:
+    """The products x_i * x_j (i <= j) of the design's columns, block by block.
 
-    One product per row of a reused (k(k+1)/2, block rows) buffer, in
-    row-major (i, j) order. As x_0 is 1, the first k rows are the block's
-    design, transposed: a row of ones, then the feature columns, copied in.
+    Iterating gives each block of at most ``audit._BLOCK`` rows as its slice
+    and a view of one reused (k(k+1)/2, block rows) buffer: one product per
+    row, in row-major (i, j) order. As x_0 is 1, the first k rows are the
+    block's design, transposed: a row of ones, then the feature columns,
+    copied in. Each pass refills the buffer block by block, except that a
+    design of one block is filled on the first pass only.
     """
-    n, k = columns[0].shape[0], len(columns) + 1
-    buffer = np.empty((k * (k + 1) // 2, min(n, audit._BLOCK)))
-    buffer[0] = 1.0
-    pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
-    for block in audit._blocks(0, n):
-        rows = buffer[:, : block.stop - block.start]
-        for j, column in enumerate(columns, 1):
-            rows[j] = column[block]
-        for r, (i, j) in enumerate(pairs, k):
-            np.multiply(rows[i], rows[j], out=rows[r])
-        yield block, rows
+
+    def __init__(self, columns: tuple[np.ndarray, ...]):
+        self.columns = columns
+        k = len(columns) + 1
+        self.buffer = np.empty((k * (k + 1) // 2, min(columns[0].shape[0], audit._BLOCK)))
+        self.buffer[0] = 1.0
+        self.pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
+        self.held = None  # the slice of rows whose products the buffer holds
+
+    def __iter__(self):
+        for block in audit._blocks(0, self.columns[0].shape[0]):
+            rows = self.buffer[:, : block.stop - block.start]
+            if block != self.held:
+                for j, column in enumerate(self.columns, 1):
+                    rows[j] = column[block]
+                for r, (i, j) in enumerate(self.pairs, len(self.columns) + 1):
+                    np.multiply(rows[i], rows[j], out=rows[r])
+                self.held = block
+            yield block, rows
 
 
 @dataclass(frozen=True)
@@ -268,7 +279,7 @@ class _LogitLink(_BernoulliLink):
 # over a population fit's 48 or 1,152 quadrature rows.
 @functools.cache
 def _product_index(k: int) -> np.ndarray:
-    """The k x k matrix of each (i, j)'s row in ``_product_blocks``, (j, i) sharing it."""
+    """The k x k matrix of each (i, j)'s row in ``_ProductBlocks``, (j, i) sharing it."""
     i, j = np.triu_indices(k)
     index = np.empty((k, k), dtype=np.intp)
     index[i, j] = index[j, i] = np.arange(i.size)
@@ -278,6 +289,8 @@ def _product_index(k: int) -> np.ndarray:
 
 def _fsum(vectors: list[np.ndarray]) -> np.ndarray:
     """The exactly rounded sum of equal-length vectors, entry by entry (``math.fsum``)."""
+    if len(vectors) == 1:
+        return vectors[0]
     return np.array([math.fsum(entry) for entry in np.transpose(vectors).tolist()])
 
 
@@ -294,7 +307,7 @@ def _least_squares(columns: tuple[np.ndarray, ...], y: np.ndarray, weights=None)
     k = len(columns) + 1
     ones = np.ones(min(y.shape[0], audit._BLOCK))
     products, rhs = [], []
-    for block, rows in _product_blocks(columns):
+    for block, rows in _ProductBlocks(columns):
         w = ones[: rows.shape[1]] if weights is None else weights[block]
         products.append(rows @ w)
         rhs.append(rows[:k] @ (w * y[block]))
@@ -322,13 +335,14 @@ def _newton_mle(
 
     ``link.terms`` runs once per row and trial point, and the accepted
     point's slopes and curvatures give the next gradient and information.
-    Each trial point is one pass over ``_product_blocks``: a block's index,
+    Each trial point is one pass over ``_ProductBlocks``: a block's index,
     link terms and shares of the three sums, which are then summed exactly
     over the blocks (``_fsum``), so nothing n-sized is held.
     """
     if z.min() == z.max():
         raise SeparationError("all outcomes are the same class; the MLE does not exist")
     k = len(columns) + 1
+    blocks = _ProductBlocks(columns)
 
     def ascent(coef: np.ndarray, guard=None) -> tuple[float, np.ndarray, np.ndarray]:
         """Log-likelihood, gradient and information at coef from one link evaluation per row.
@@ -337,7 +351,7 @@ def _newton_mle(
         block's index against ``max_index`` before its link evaluation.
         """
         ll, grad, products = [], [], []
-        for block, rows in _product_blocks(columns):
+        for block, rows in blocks:
             eta = coef @ rows[:k]
             if guard is not None and float(np.max(np.abs(eta))) > max_index:
                 raise SeparationError(

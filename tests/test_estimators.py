@@ -26,7 +26,6 @@ from biaslab.estimators import (
     predict,
 )
 from biaslab.exceptions import BiaslabError, ConfigError, RankDeficiencyError, SeparationError
-
 from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE
 
 from conftest import fresh_python, independent_mixture, make_mixture
@@ -342,7 +341,7 @@ def test_a_refused_full_step_is_halved():
             return (np.full_like(ll, -math.inf) if len(calls) == 2 else ll), slope, curvature
 
     coef, diagnostics = estimators._newton_mle(columns, z, RefuseFirstStep)
-    ((_, rows),) = estimators._product_blocks(columns)  # 4,000 rows: one block
+    ((_, rows),) = estimators._ProductBlocks(columns)  # 4,000 rows: one block
     u, w = _LogitLink.grad_weights(np.zeros(z.shape[0]), z)
     step = np.linalg.solve((rows @ w)[estimators._product_index(3)], rows[:3] @ u)
     assert diagnostics.log_likelihood[1] == _LogitLink.loglik((0.5 * step) @ rows[:3], z)
@@ -388,7 +387,7 @@ def test_product_row_information_equals_the_weighted_cross_product(k, monkeypatc
     n = 5_000
     x = np.column_stack([np.ones(n)] + [m + rng.standard_normal(n) for m in (1.0, 3.0)[: k - 1]])
     w = rng.random(n) * 0.25
-    blocks = [(block, rows.copy()) for block, rows in estimators._product_blocks(tuple(x.T[1:]))]
+    blocks = [(block, rows.copy()) for block, rows in estimators._ProductBlocks(tuple(x.T[1:]))]
     rows = np.hstack([block_rows for _, block_rows in blocks])
     information = estimators._fsum([block_rows @ w[block] for block, block_rows in blocks])
     assert np.array_equal(rows[:k], x.T)
