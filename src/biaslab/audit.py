@@ -174,6 +174,18 @@ def _exact_sum(values: np.ndarray) -> float:
     return _rounded(total)
 
 
+def _count_ones(labels: np.ndarray, name: str) -> int:
+    """The number of 1s among 0/1 labels, block by block; ConfigError names any other label."""
+    n1 = 0
+    for block in _blocks(0, labels.shape[0]):
+        in1 = labels[block] == 1
+        stray = ~(in1 | (labels[block] == 0))
+        if stray.any():
+            raise ConfigError("%s must be 0 or 1, got %r" % (name, labels[block][stray][0]))
+        n1 += int(np.count_nonzero(in1))
+    return n1
+
+
 def error_report(predictions, truths, groups) -> ErrorReport:
     """Audit predictions against truths, split by the 0/1 group labels.
 
@@ -191,13 +203,7 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     groups = np.asarray(groups)
     if not predictions.shape == truths.shape == groups.shape:
         raise ConfigError("predictions, truths and groups must have equal length")
-    n, n1 = groups.shape[0], 0
-    for block in _blocks(0, n):
-        in1 = groups[block] == 1
-        stray = ~(in1 | (groups[block] == 0))
-        if stray.any():
-            raise ConfigError("group labels must be 0 or 1, got %r" % (groups[block][stray][0],))
-        n1 += int(np.count_nonzero(in1))
+    n, n1 = groups.shape[0], _count_ones(groups, "group labels")
     if n1 == 0 or n1 == n:
         raise EmptyGroupError("both groups must be nonempty, got sizes %d and %d" % (n - n1, n1))
 

@@ -5,7 +5,8 @@ Hessians (start at zero, step-halving line search, hard iteration cap). One
 link evaluation per row and trial point gives the row's log-likelihood term,
 slope and curvature, and the information matrix comes from the design's
 column products (the intercept makes the first k of them the design itself).
-Every pass over the rows, in the fits and in ``predict``, works on blocks of
+Every pass over a design's rows, in the fits, the ols rank test and
+``predict``, reads those products from ``_ProductBlocks``: blocks of
 ``audit._BLOCK`` rows in one reused buffer, so a fit holds its data and
 O(block) more. Row weights let the same loop fit a population, given as
 quadrature nodes, for the pseudo-true fits of ``_population_errors``.
@@ -62,9 +63,11 @@ def _check_features(features: str) -> None:
 
 
 def _columns(x1, x2, features: str) -> tuple[np.ndarray, ...]:
-    """The selected feature columns, (x1,) or (x1, x2), as float arrays of one shape."""
+    """The selected feature columns, (x1,) or (x1, x2), as 1-d float arrays of one shape."""
     _check_features(features)
     x1 = np.asarray(x1, dtype=float)
+    if x1.ndim != 1:
+        raise ConfigError("feature columns must be 1-d, got x1 of shape %s" % (x1.shape,))
     if features == "x1_only":
         return (x1,)
     if x2 is None:
@@ -76,24 +79,6 @@ def _columns(x1, x2, features: str) -> tuple[np.ndarray, ...]:
     return x1, x2
 
 
-def _design_blocks(columns: tuple[np.ndarray, ...]):
-    """Each block of rows as its slice and its rows of the design x = (1, x1[, x2]).
-
-    The blocks hold at most ``audit._BLOCK`` rows and share one (rows, k)
-    buffer, which the next block overwrites, so a pass over the rows holds
-    nothing n-sized. The buffer is row-major, so ``x @ coef`` on a block
-    gives each row the bits it gets on the whole design.
-    """
-    n = columns[0].shape[0]
-    buffer = np.empty((min(n, audit._BLOCK), len(columns) + 1))
-    buffer[:, 0] = 1.0
-    for block in audit._blocks(0, n):
-        x = buffer[: block.stop - block.start]
-        for j, column in enumerate(columns, 1):
-            x[:, j] = column[block]
-        yield block, x
-
-
 class _ProductBlocks:
     """The products x_i * x_j (i <= j) of the design's columns, block by block.
 
@@ -102,7 +87,10 @@ class _ProductBlocks:
     row, in row-major (i, j) order. As x_0 is 1, the first k rows are the
     block's design, transposed: a row of ones, then the feature columns,
     copied in. Each pass refills the buffer block by block, except that a
-    design of one block is filled on the first pass only.
+    design of one block is filled on the first pass only. The Newton fits and
+    ``predict`` take each row's index from ``coef @ rows[:k]``, one output of
+    a (k,) @ (k, block) product, so where the last block's width is not a
+    multiple of 4, the bits of its tail scores depend on ``audit._BLOCK``.
     """
 
     def __init__(self, columns: tuple[np.ndarray, ...]):
@@ -196,11 +184,13 @@ def fit_ols(data: Dataset, features: str) -> FittedModel:
 def _singular_values(columns: tuple[np.ndarray, ...]) -> np.ndarray:
     """The design's singular values, largest first, from the R factor of each block's QR.
 
-    The design is the block-diagonal matrix of the blocks' Q factors, whose
+    A block's design is ``rows[:k].T`` of ``_ProductBlocks``. The whole
+    design is the block-diagonal matrix of the blocks' Q factors, whose
     columns are orthonormal, times the stacked R factors, so the two share
     their singular values (TSQR: Demmel, Grigori, Hoemmen & Langou 2012).
     """
-    factors = [np.linalg.qr(x, mode="r") for _, x in _design_blocks(columns)]
+    k = len(columns) + 1
+    factors = [np.linalg.qr(rows[:k].T, mode="r") for _, rows in _ProductBlocks(columns)]
     return np.linalg.svd(np.vstack(factors), compute_uv=False)
 
 
@@ -339,8 +329,6 @@ def _newton_mle(
     link terms and shares of the three sums, which are then summed exactly
     over the blocks (``_fsum``), so nothing n-sized is held.
     """
-    if z.min() == z.max():
-        raise SeparationError("all outcomes are the same class; the MLE does not exist")
     k = len(columns) + 1
     blocks = _ProductBlocks(columns)
 
@@ -412,6 +400,9 @@ def _fit_mle(data: Dataset, features: str, link, family: str) -> FittedModel:
         raise ConfigError("classification fit requires a dataset with z labels")
     # The labels may stay integers: no float copy of z is made.
     z = np.asarray(data.z)
+    n1 = audit._count_ones(z, "z labels")
+    if n1 == 0 or n1 == z.shape[0]:
+        raise SeparationError("all outcomes are the same class; the MLE does not exist")
     coef, diagnostics = _newton_mle(_columns(data.x1, data.x2, features), z, link)
     return FittedModel(
         family=family,
@@ -674,8 +665,9 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     over the tree count: for two or more rows bit-identical to numpy's
     axis-0 mean of the stacked scores, which for one row sums pairwise
     (last bit). On the training rows this is the in-sample score; the
-    out-of-bag one is the model's ``fitted``. The other families fill their
-    scores block by block (``_design_blocks``) and apply the link in place.
+    out-of-bag one is the model's ``fitted``. The other families take each
+    block's index as ``coef @ rows[:k]`` of ``_ProductBlocks``, the
+    expression the Newton fits compute, and apply the link in place.
     """
     columns = _columns(x1, x2, model.features)
     if model.family == "forest":
@@ -688,8 +680,8 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
         raise ConfigError("unknown model family %r" % (model.family,))
     coef = np.asarray(model.coefficients, dtype=float)
     index = np.empty(columns[0].shape[0])
-    for block, x in _design_blocks(columns):
-        np.matmul(x, coef, out=index[block])
+    for block, rows in _ProductBlocks(columns):
+        np.matmul(coef, rows[: len(columns) + 1], out=index[block])
     if model.family == "probit":
         return _special.ndtr(index, out=index)
     if model.family == "logit":

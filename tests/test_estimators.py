@@ -56,22 +56,24 @@ def toy(x1, z):
 def test_fits_and_predictions_do_not_depend_on_the_blas_thread_count():
     # At 200,000 rows OpenBLAS split x.T @ x's sums over rows between two
     # threads, and the last bits of ols coefficients moved with the count.
+    # 24,690 rows end in a block of 114 rows, which is not a multiple of 8.
     code = """
 import hashlib
 import numpy as np
 from biaslab.dgp import DgpSpec, generate
 from biaslab.estimators import fit_logit, fit_ols, fit_probit, predict
 from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE
-for family, fit in (("linear", fit_ols), ("probit", fit_probit), ("logit", fit_logit)):
-    data = generate(DgpSpec(family, TABLE_BETA, TABLE_MIXTURE, 100_000), 7)
-    for features in ("both", "x1_only"):
-        model = fit(data, features)
-        print(np.array(model.coefficients).tobytes().hex())
-        print(hashlib.sha256(predict(model, data.x1, data.x2).tobytes()).hexdigest())
+for n in (100_000, 12_345):
+    for family, fit in (("linear", fit_ols), ("probit", fit_probit), ("logit", fit_logit)):
+        data = generate(DgpSpec(family, TABLE_BETA, TABLE_MIXTURE, n), 7)
+        for features in ("both", "x1_only"):
+            model = fit(data, features)
+            print(np.array(model.coefficients).tobytes().hex())
+            print(hashlib.sha256(predict(model, data.x1, data.x2).tobytes()).hexdigest())
 """
     one, two = (fresh_python(code, OPENBLAS_NUM_THREADS=str(t)) for t in (1, 2))
     assert one == two
-    assert len(one.split()) == 12
+    assert len(one.split()) == 24
 
 
 def test_ols_noiseless_recovery():
@@ -204,6 +206,33 @@ def test_flat_logit_stays_near_zero():
 def test_single_class_raises_separation():
     with pytest.raises(SeparationError):
         fit_probit(toy([0.1, 0.2, 0.3, 0.4], [1, 1, 1, 1]), "x1_only")
+
+
+@pytest.mark.parametrize("fit", [fit_probit, fit_logit])
+@pytest.mark.parametrize(
+    "labels,rows,error,match",
+    [
+        ((0.25, 0.75), None, ConfigError, "z labels must be 0 or 1"),
+        ((0, 2), None, ConfigError, "z labels must be 0 or 1"),
+        ((-1, 1), None, ConfigError, "z labels must be 0 or 1"),
+        ((0, 1), 0, SeparationError, "all outcomes are the same class"),
+    ],
+    ids=["quarters", "zero-two", "minus-one-one", "no-rows"],
+)
+def test_binary_fits_take_only_0_1_labels(fit, labels, rows, error, match):
+    # Other labels fit another likelihood (0.25/0.75 gives twice the 0/1
+    # coefficients) or none (0/2 and -1/1 never converge).
+    ds = dataset("probit", (-1.0, 0.7, 0.4), n=500, seed=5)
+    z = np.asarray(labels)[ds.z]
+    with pytest.raises(error, match=match):
+        fit(Dataset(*(c[:rows] for c in (ds.x1, ds.x2, ds.a, ds.y, z))), "both")
+
+
+@pytest.mark.parametrize("fit", [fit_probit, fit_logit])
+def test_bool_labels_give_the_int_labels_fit(fit):
+    ds = dataset("probit", (-1.0, 0.7, 0.4), n=500, seed=5)
+    as_bool = Dataset(ds.x1, ds.x2, ds.a, ds.y, ds.z.astype(bool))
+    assert fit(as_bool, "both") == fit(ds, "both")
 
 
 def test_separable_logit_raises_separation():
@@ -470,6 +499,19 @@ def test_feature_columns_of_different_lengths_are_refused(fit):
         predict(model, ds.x1, ds.x2[:-1])
     with pytest.raises(ConfigError, match="same shape"):
         fit(Dataset(ds.x1, ds.x2[1:], ds.a, ds.y, ds.z), "both")
+
+
+def test_feature_columns_that_are_not_1d_are_refused():
+    # A (400, 2) x1 would grow x1_only forest trees on two features.
+    ds = dataset("linear", (-1.0, 0.7, 0.4), n=200, seed=5)
+    wide = np.column_stack([ds.x1, ds.x2])
+    data = Dataset(wide, ds.x2, ds.a, ds.y)
+    model = fit_ols(ds, "x1_only")
+    calls = (lambda: fit_forest(data, "x1_only"), lambda: fit_ols(data, "x1_only"),
+             lambda: predict(model, wide))
+    for call in calls:
+        with pytest.raises(ConfigError, match=r"1-d, got x1 of shape \(400, 2\)"):
+            call()
 
 
 def test_probit_probabilities_are_probabilities():
