@@ -1,8 +1,11 @@
 """From-scratch model fitting: OLS, probit/logit MLE, CART regression forest.
 
 The maximum-likelihood fits use damped Newton with analytic gradients and
-Hessians (start at zero, step-halving line search, hard iteration cap). One
-link evaluation per row and trial point gives the row's log-likelihood term,
+Hessians (step-halving line search, hard iteration cap). A direct call starts
+at zero; a grid replication starts at its cell's population limit, the
+coefficients ``_population_errors`` fits, which changes only how many steps
+the fit takes and where inside its gradient tolerance it stops. One link
+evaluation per row and trial point gives the row's log-likelihood term,
 slope and curvature, and the information matrix comes from the design's
 column products (the intercept makes the first k of them the design itself).
 Every pass over a design's rows, in the fits, the ols rank test and
@@ -79,6 +82,15 @@ def _columns(x1, x2, features: str) -> tuple[np.ndarray, ...]:
     return x1, x2
 
 
+def _outcome(values, columns: tuple[np.ndarray, ...], name: str, dtype=None) -> np.ndarray:
+    """The outcome as an array of the feature columns' shape, else ConfigError."""
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != columns[0].shape:
+        raise ConfigError("%s must have one entry per row: got shape %s for x1 of shape %s"
+                          % (name, values.shape, columns[0].shape))
+    return values
+
+
 class _ProductBlocks:
     """The products x_i * x_j (i <= j) of the design's columns, block by block.
 
@@ -86,19 +98,21 @@ class _ProductBlocks:
     and a view of one reused (k(k+1)/2, block rows) buffer: one product per
     row, in row-major (i, j) order. As x_0 is 1, the first k rows are the
     block's design, transposed: a row of ones, then the feature columns,
-    copied in. Each pass refills the buffer block by block, except that a
-    design of one block is filled on the first pass only. The Newton fits and
-    ``predict`` take each row's index from ``coef @ rows[:k]``, one output of
-    a (k,) @ (k, block) product, so where the last block's width is not a
-    multiple of 4, the bits of its tail scores depend on ``audit._BLOCK``.
+    copied in. ``products=False`` fills those k rows alone, for a pass that
+    reads nothing else. Each pass refills the buffer block by block, except
+    that a design of one block is filled on the first pass only. The Newton
+    fits and ``predict`` take each row's index from ``coef @ rows[:k]``, one
+    output of a (k,) @ (k, block) product in a buffer of the same width, so
+    where the last block's width is not a multiple of 4, the bits of its tail
+    scores depend on ``audit._BLOCK``.
     """
 
-    def __init__(self, columns: tuple[np.ndarray, ...]):
+    def __init__(self, columns: tuple[np.ndarray, ...], products: bool = True):
         self.columns = columns
         k = len(columns) + 1
-        self.buffer = np.empty((k * (k + 1) // 2, min(columns[0].shape[0], audit._BLOCK)))
+        self.pairs = [(i, j) for i in range(1, k) for j in range(i, k)] if products else []
+        self.buffer = np.empty((k + len(self.pairs), min(columns[0].shape[0], audit._BLOCK)))
         self.buffer[0] = 1.0
-        self.pairs = [(i, j) for i in range(1, k) for j in range(i, k)]
         self.held = None  # the slice of rows whose products the buffer holds
 
     def __iter__(self):
@@ -163,25 +177,29 @@ def fit_ols(data: Dataset, features: str) -> FittedModel:
     Solves the normal equations (``_least_squares``). Full column rank is
     required: at least as many rows as columns, and a smallest/largest
     singular value ratio above 1e-10 (``_singular_values``), else
-    RankDeficiencyError.
+    RankDeficiencyError. Both read one ``_ProductBlocks``, so a design of
+    one block is filled once. A ``y`` of another length than ``x1`` raises
+    ConfigError.
     """
     columns = _columns(data.x1, data.x2, features)
+    y = _outcome(data.y, columns, "y", dtype=float)
     n, k = columns[0].shape[0], len(columns) + 1
     if n < k:
         raise RankDeficiencyError(
             "design has %d rows for %d columns; least squares is underdetermined" % (n, k)
         )
-    sv = _singular_values(columns)
+    blocks = _ProductBlocks(columns)
+    sv = _singular_values(blocks)
     if sv[0] == 0.0 or sv[-1] / sv[0] <= _RANK_TOL:
         raise RankDeficiencyError(
             "design matrix is rank deficient (singular value ratio %.3e)"
             % (sv[-1] / sv[0] if sv[0] else 0.0)
         )
-    coef = _least_squares(columns, np.asarray(data.y, dtype=float))
+    coef = _least_squares(blocks, y)
     return FittedModel(family="ols", features=features, coefficients=tuple(coef))
 
 
-def _singular_values(columns: tuple[np.ndarray, ...]) -> np.ndarray:
+def _singular_values(blocks: _ProductBlocks) -> np.ndarray:
     """The design's singular values, largest first, from the R factor of each block's QR.
 
     A block's design is ``rows[:k].T`` of ``_ProductBlocks``. The whole
@@ -189,8 +207,8 @@ def _singular_values(columns: tuple[np.ndarray, ...]) -> np.ndarray:
     columns are orthonormal, times the stacked R factors, so the two share
     their singular values (TSQR: Demmel, Grigori, Hoemmen & Langou 2012).
     """
-    k = len(columns) + 1
-    factors = [np.linalg.qr(rows[:k].T, mode="r") for _, rows in _ProductBlocks(columns)]
+    k = len(blocks.columns) + 1
+    factors = [np.linalg.qr(rows[:k].T, mode="r") for _, rows in blocks]
     return np.linalg.svd(np.vstack(factors), compute_uv=False)
 
 
@@ -284,20 +302,21 @@ def _fsum(vectors: list[np.ndarray]) -> np.ndarray:
     return np.array([math.fsum(entry) for entry in np.transpose(vectors).tolist()])
 
 
-def _least_squares(columns: tuple[np.ndarray, ...], y: np.ndarray, weights=None) -> np.ndarray:
+def _least_squares(blocks: _ProductBlocks, y: np.ndarray, weights=None) -> np.ndarray:
     """The solution of x.T W x b = x.T W y, W = diag(weights), by LU with partial pivoting.
 
-    x is the design on ``columns``; ``weights`` None weighs every row 1.
+    x is the design whose products ``blocks`` gives; ``weights`` None weighs
+    every row 1.
     Each block adds its column products times its weights, a (products,
     rows) @ (rows,) product, as the Newton information does: BLAS gives
     each output of such a product to one thread, so the bits do not depend
     on the BLAS thread count (x.T @ x would split its sums over rows between
     threads). The blocks' shares are then summed exactly (``_fsum``).
     """
-    k = len(columns) + 1
+    k = len(blocks.columns) + 1
     ones = np.ones(min(y.shape[0], audit._BLOCK))
     products, rhs = [], []
-    for block, rows in _ProductBlocks(columns):
+    for block, rows in blocks:
         w = ones[: rows.shape[1]] if weights is None else weights[block]
         products.append(rows @ w)
         rhs.append(rows[:k] @ (w * y[block]))
@@ -306,18 +325,21 @@ def _least_squares(columns: tuple[np.ndarray, ...], y: np.ndarray, weights=None)
 
 def _newton_mle(
     columns: tuple[np.ndarray, ...], z: np.ndarray, link, weights=1.0,
-    grad_tol: float = _GRAD_TOL, max_index: float = _SEPARATION_INDEX,
+    grad_tol: float = _GRAD_TOL, max_index: float = _SEPARATION_INDEX, start=None,
 ) -> tuple[np.ndarray, FitDiagnostics]:
     """Damped Newton ascent of the Bernoulli log-likelihood, each row weighted.
 
     The design is x = (1, x1[, x2]) on the feature ``columns``. ``weights``
     multiplies each row's log-likelihood term, slope and curvature in place:
     1.0 for a sample, whose bits it keeps, and a row's probability mass for
-    a population (``_population_errors``). Starts at zero and returns once
-    the gradient's max-norm is at most ``grad_tol`` (1e-6) or the last full
+    a population (``_population_errors``). Starts at ``start``, k
+    coefficients, or at zero where it is None, and returns once the
+    gradient's max-norm is at most ``grad_tol`` (1e-6) or the last full
     Newton step is at most 1e-10 * max(1, max|coef|); neither after 100
-    steps raises ConvergenceError. Each step is halved until the
-    log-likelihood does not decrease beyond its own rounding floor (relative
+    steps raises ConvergenceError. The log-likelihood is strictly concave on
+    a full-rank design, so any start reaches the same maximum within that
+    tolerance; a start near it takes fewer steps. Each step is halved until
+    the log-likelihood does not decrease beyond its own rounding floor (relative
     1e-12; the true improvement of a near-optimal step can round away in a
     sum of n terms). A full Newton step, before any halving, whose index
     magnitudes pass ``max_index`` (30) raises SeparationError: the MLE is
@@ -357,7 +379,10 @@ def _newton_mle(
             products.append(rows @ curvature)
         return math.fsum(ll), _fsum(grad), _fsum(products)[_product_index(k)]
 
-    coef, step = np.zeros(k), np.full(k, math.inf)  # no step taken yet
+    coef = np.zeros(k) if start is None else np.array(start, dtype=float)
+    if coef.shape != (k,):
+        raise ConfigError("start needs %d coefficients, got %r" % (k, start))
+    step = np.full(k, math.inf)  # no step taken yet
     ll, grad, info = ascent(coef)
     trace = [ll]
     for iteration in range(_MAX_ITER + 1):
@@ -395,15 +420,16 @@ def _newton_mle(
         trace.append(ll)
 
 
-def _fit_mle(data: Dataset, features: str, link, family: str) -> FittedModel:
+def _fit_mle(data: Dataset, features: str, link, family: str, start) -> FittedModel:
     if data.z is None:
         raise ConfigError("classification fit requires a dataset with z labels")
+    columns = _columns(data.x1, data.x2, features)
     # The labels may stay integers: no float copy of z is made.
-    z = np.asarray(data.z)
+    z = _outcome(data.z, columns, "z")
     n1 = audit._count_ones(z, "z labels")
     if n1 == 0 or n1 == z.shape[0]:
         raise SeparationError("all outcomes are the same class; the MLE does not exist")
-    coef, diagnostics = _newton_mle(_columns(data.x1, data.x2, features), z, link)
+    coef, diagnostics = _newton_mle(columns, z, link, start=start)
     return FittedModel(
         family=family,
         features=features,
@@ -412,14 +438,19 @@ def _fit_mle(data: Dataset, features: str, link, family: str) -> FittedModel:
     )
 
 
-def fit_probit(data: Dataset, features: str) -> FittedModel:
-    """Probit MLE of z on an intercept plus the selected features."""
-    return _fit_mle(data, features, _ProbitLink, "probit")
+def fit_probit(data: Dataset, features: str, start=None) -> FittedModel:
+    """Probit MLE of z on an intercept plus the selected features.
+
+    Newton starts at the coefficients ``start`` (intercept first), or at
+    zero where it is None. A ``z`` of another length than ``x1`` raises
+    ConfigError.
+    """
+    return _fit_mle(data, features, _ProbitLink, "probit", start)
 
 
-def fit_logit(data: Dataset, features: str) -> FittedModel:
-    """Logit MLE of z on an intercept plus the selected features."""
-    return _fit_mle(data, features, _LogitLink, "logit")
+def fit_logit(data: Dataset, features: str, start=None) -> FittedModel:
+    """Logit MLE of z on an intercept plus the selected features; ``start`` as for probit."""
+    return _fit_mle(data, features, _LogitLink, "logit", start)
 
 
 @functools.cache
@@ -437,8 +468,10 @@ def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
     return t, w
 
 
-def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float, float]:
-    """Group mean errors of the limit of fit_<model> on ever more rows of spec.
+def _population_errors(
+    spec: DgpSpec, model: str, features: str
+) -> tuple[tuple[float, float], tuple[float, ...]]:
+    """Group mean errors and coefficients of the limit of fit_<model> on ever more rows of spec.
 
     That limit, the pseudo-true fit (White 1982), fits the model to E[Y | X]
     over the mixture, by a tensor Gauss-Hermite rule through each group's
@@ -474,7 +507,7 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
         raise DegenerateVarianceError("Var(X1) = %r; the features' population covariance "
                                       "has eigenvalue %r" % (wts @ f[:, 0] ** 2, smallest))
     if model == "ols":
-        coef = _least_squares(columns, y, wts)
+        coef = _least_squares(_ProductBlocks(columns), y, wts)
     else:
         link = _ProbitLink if model == "probit" else _LogitLink
         z = np.repeat([1.0, 0.0], y.shape[0])
@@ -483,7 +516,7 @@ def _population_errors(spec: DgpSpec, model: str, features: str) -> tuple[float,
         coef, _ = _newton_mle(doubled, z, link, mass, grad_tol=0.0, max_index=math.inf)
     fitted = FittedModel(family=model, features=features, coefficients=tuple(coef))
     gap0, gap1 = np.split(predict(fitted, x1, x2) - y, 2)
-    return float(w @ gap0), float(w @ gap1)
+    return (float(w @ gap0), float(w @ gap1)), fitted.coefficients
 
 
 def _presort(xmat: np.ndarray) -> np.ndarray:
@@ -605,11 +638,13 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     The worker that grows a tree also scores the rows its bootstrap left
     out. ``fitted`` holds each row's out-of-bag score: its scores summed in
     tree order over the number of trees that left it out. A row that every
-    tree drew raises BiaslabError.
+    tree drew raises BiaslabError, and a ``y`` of another length than ``x1``
+    ConfigError.
     """
+    columns = _columns(data.x1, data.x2, features)
+    y = _outcome(data.y, columns, "y", dtype=float)
     # trees do not use an intercept
-    x = np.column_stack(_columns(data.x1, data.x2, features))
-    y = np.asarray(data.y, dtype=float)
+    x = np.column_stack(columns)
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
         raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
@@ -667,7 +702,8 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
     (last bit). On the training rows this is the in-sample score; the
     out-of-bag one is the model's ``fitted``. The other families take each
     block's index as ``coef @ rows[:k]`` of ``_ProductBlocks``, the
-    expression the Newton fits compute, and apply the link in place.
+    expression the Newton fits compute, filling the k design rows alone,
+    and apply the link in place.
     """
     columns = _columns(x1, x2, model.features)
     if model.family == "forest":
@@ -680,8 +716,8 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
         raise ConfigError("unknown model family %r" % (model.family,))
     coef = np.asarray(model.coefficients, dtype=float)
     index = np.empty(columns[0].shape[0])
-    for block, rows in _ProductBlocks(columns):
-        np.matmul(coef, rows[: len(columns) + 1], out=index[block])
+    for block, rows in _ProductBlocks(columns, products=False):
+        np.matmul(coef, rows, out=index[block])
     if model.family == "probit":
         return _special.ndtr(index, out=index)
     if model.family == "logit":

@@ -10,7 +10,9 @@ b_group1 - b_group0 so the identity holds for the reported means.
 Each parametric cell is compared with the limit of its own fit, the
 pseudo-true fit of its model on the whole population (White 1982;
 Gourieroux, Monfort & Trognon 1984), which is 0 for a correctly specified
-cell. A forest cell has none. The tests hold the closed forms to it.
+cell. A forest cell has none. The tests hold the closed forms to it. The
+cell also keeps that limit's coefficients (beta for a correctly specified
+cell), where each replication's probit or logit Newton fit starts.
 
 ``run_cell`` alone turns audit.compare's z-scores into a verdict, consistent
 iff every scored |z| <= z_threshold. An ols cell's verdict leaves b_pop out:
@@ -75,8 +77,10 @@ class ExperimentCell:
     dgp: DgpSpec
     model: str
     features: str
-    # analytic_for_cell(self), evaluated once: a reference it cannot compute refuses the cell
+    # analytic_for_cell(self), evaluated once: a reference it cannot compute refuses the
+    # cell. start, the limit's coefficients, is where a probit/logit fit's Newton starts.
     analytic: GroupErrorPrediction | None = field(init=False, compare=False, repr=False)
+    start: tuple[float, ...] | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -91,7 +95,9 @@ class ExperimentCell:
             raise ConfigError(
                 "forest cells need n_per_group >= %d, got %d" % (MIN_LEAF, self.dgp.n_per_group)
             )
-        object.__setattr__(self, "analytic", analytic_for_cell(self))
+        analytic, start = analytic_for_cell(self)
+        object.__setattr__(self, "analytic", analytic)
+        object.__setattr__(self, "start", start)
 
 
 @dataclass(frozen=True)
@@ -152,35 +158,38 @@ _CSV_FIELDS = tuple(name for name in _ROW_FIELDS if name not in ("replications",
 CSV_HEADER = ",".join(_CSV_FIELDS)
 
 
-def analytic_for_cell(cell: ExperimentCell) -> GroupErrorPrediction | None:
-    """The group errors a cell's fit converges to; None for a forest.
+def analytic_for_cell(
+    cell: ExperimentCell,
+) -> tuple[GroupErrorPrediction, tuple[float, ...]] | tuple[None, None]:
+    """The group errors and the coefficients a cell's fit converges to; (None, None) for a forest.
 
-    A correctly specified cell converges to the truth, so its errors are 0.
-    Any other parametric cell converges to its model's pseudo-true fit on
-    the whole mixture, computed by quadrature (estimators._population_errors).
+    A correctly specified cell converges to the truth, beta, so its errors
+    are 0. Any other parametric cell converges to its model's pseudo-true fit
+    on the whole mixture, computed by quadrature (estimators._population_errors).
     """
     dgp, model = cell.dgp, cell.model
     if model == "forest":
-        return None
+        return None, None
     pairs = (("linear", "ols"), ("probit", "probit"), ("logit", "logit"))
     if cell.features == "both" and (dgp.family, model) in pairs:  # correctly specified
-        return GroupErrorPrediction.of_groups(0.0, 0.0, dgp.mixture)
-    errors = _population_errors(dgp, model, cell.features)
-    return GroupErrorPrediction.of_groups(*errors, dgp.mixture)
+        return GroupErrorPrediction.of_groups(0.0, 0.0, dgp.mixture), dgp.beta
+    gaps, coefficients = _population_errors(dgp, model, cell.features)
+    return GroupErrorPrediction.of_groups(*gaps, dgp.mixture), coefficients
 
 
 def run_replication(cell: ExperimentCell, seed: int) -> ErrorReport:
     """Generate one dataset, fit the cell's model, audit score vs truth.
 
-    A forest is audited on the out-of-bag scores its fit already made.
+    A probit or logit fit starts at the cell's limit coefficients. A forest
+    is audited on the out-of-bag scores its fit already made.
     """
     dataset = generate(cell.dgp, seed)
     if cell.model == "ols":
         model = fit_ols(dataset, cell.features)
     elif cell.model == "probit":
-        model = fit_probit(dataset, cell.features)
+        model = fit_probit(dataset, cell.features, start=cell.start)
     elif cell.model == "logit":
-        model = fit_logit(dataset, cell.features)
+        model = fit_logit(dataset, cell.features, start=cell.start)
     else:
         model = fit_forest(dataset, cell.features, seed=derive_seed(seed, "forest"))
         return error_report(model.fitted, dataset.y, dataset.a)

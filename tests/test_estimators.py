@@ -12,6 +12,7 @@ from biaslab.audit import error_report
 from biaslab.dgp import Dataset, DgpSpec, derive_seed, generate
 from biaslab.estimators import (
     MAX_DEPTH,
+    FEATURE_SETS,
     MIN_LEAF,
     N_TREES,
     _grow_tree,
@@ -26,7 +27,7 @@ from biaslab.estimators import (
     predict,
 )
 from biaslab.exceptions import BiaslabError, ConfigError, RankDeficiencyError, SeparationError
-from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE
+from biaslab.experiment import TABLE_BETA, TABLE_MIXTURE, ExperimentCell
 
 from conftest import fresh_python, independent_mixture, make_mixture
 
@@ -132,7 +133,7 @@ def test_block_r_factors_give_the_full_design_singular_value_ratio():
     for x1, x2 in rank_designs():
         full = np.linalg.svd(np.column_stack([np.ones_like(x1), x1, x2]), compute_uv=False)
         want = full[-1] / full[0]
-        blocks = estimators._singular_values((x1, x2))
+        blocks = estimators._singular_values(estimators._ProductBlocks((x1, x2)))
         got = blocks[-1] / blocks[0]
         if want >= 1e-12:
             assert got == pytest.approx(want, rel=1e-6, abs=0.0)
@@ -247,6 +248,63 @@ def test_separable_probit_raises_separation():
     ds = toy([-5.0, -0.05, 0.05, 5.0], [0, 0, 1, 1])
     with pytest.raises(SeparationError):
         fit_probit(ds, "x1_only")
+
+
+@pytest.mark.parametrize("fit", [fit_probit, fit_logit])
+@pytest.mark.parametrize("features", FEATURE_SETS)
+def test_a_separable_sample_is_refused_from_either_start(fit, features):
+    # z = 1 exactly where x1 > 0; the cell's start is no nearer a finite MLE.
+    spec = DgpSpec("probit", TABLE_BETA, REFERENCE, 500)
+    ds = generate(spec, 9)
+    separable = Dataset(ds.x1, ds.x2, ds.a, ds.y, (ds.x1 > 0).astype(np.int64))
+    for start in (None, ExperimentCell(spec, "probit", features).start):
+        with pytest.raises(SeparationError, match="data appear separable"):
+            fit(separable, features, start=start)
+
+
+MLE_CASES = [("probit", fit_probit, _ProbitLink), ("logit", fit_logit, _LogitLink)]
+
+
+@pytest.mark.parametrize("family,fit,link", MLE_CASES, ids=["probit", "logit"])
+@pytest.mark.parametrize("features", FEATURE_SETS)
+@pytest.mark.parametrize("n", [500, 100_000])
+def test_a_fit_started_at_the_population_limit_stops_at_the_same_mle(family, fit, link,
+                                                                      features, n):
+    # Both log-likelihoods are strictly concave, and each fit stops with a
+    # gradient max-norm g <= 1e-6, so it is within ||J^-1||_inf * g of the
+    # MLE (J the information there) and the two fits within twice that.
+    spec = DgpSpec(family, TABLE_BETA, REFERENCE, n)
+    start = ExperimentCell(spec, family, features).start
+    for seed in (3, 4, 5):
+        ds = generate(spec, seed)
+        zero, started = fit(ds, features), fit(ds, features, start=start)
+        columns = (ds.x1, ds.x2) if features == "both" else (ds.x1,)
+        x = np.column_stack([np.ones_like(ds.x1), *columns])
+        _, curvature = link.grad_weights(x @ np.asarray(zero.coefficients), ds.z)
+        j_inv = np.abs(np.linalg.inv(x.T @ (x * curvature[:, None]))).sum(axis=1).max()
+        bound = 2.0 * j_inv * 1e-6 + 1e-12 * max(1.0, np.max(np.abs(zero.coefficients)))
+        gap = np.abs(np.subtract(started.coefficients, zero.coefficients))
+        assert np.max(gap) <= bound, (seed, gap, bound)
+        assert started.diagnostics.grad_max <= 1e-6
+        assert started.diagnostics.iterations <= zero.diagnostics.iterations
+
+
+@pytest.mark.parametrize("fit", [fit_probit, fit_logit])
+def test_the_default_start_is_zero_and_a_start_has_one_entry_per_coefficient(fit):
+    ds = dataset("probit", (-1.0, 0.7, 0.4), n=500, seed=5)
+    assert fit(ds, "both") == fit(ds, "both", start=(0.0, 0.0, 0.0))
+    with pytest.raises(ConfigError, match="start needs 2 coefficients"):
+        fit(ds, "x1_only", start=TABLE_BETA)
+
+
+@pytest.mark.parametrize("fit", [fit_ols, fit_probit, fit_logit, fit_forest])
+@pytest.mark.parametrize("rows", [399, 401])
+def test_an_outcome_of_another_length_is_refused(fit, rows):
+    # One row more was cut silently, one row fewer ended in numpy's bare errors.
+    ds = dataset("probit", (-1.0, 0.7, 0.4), n=200, seed=5)
+    y, z = np.resize(ds.y, rows), np.resize(ds.z, rows)
+    with pytest.raises(ConfigError, match=r"one entry per row: got shape \(%d,\)" % rows):
+        fit(Dataset(ds.x1, ds.x2, ds.a, y, z), "both")
 
 
 @pytest.mark.parametrize("link", [_ProbitLink, _LogitLink])

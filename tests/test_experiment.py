@@ -193,13 +193,14 @@ def test_closed_form_refusals_are_biaslab_errors(refuse, message):
 def test_analytic_for_correct_specification_is_zero():
     for family, model in (("linear", "ols"), ("probit", "probit"), ("logit", "logit")):
         cell = small_cell(family=family, model=model, features="both")
-        pred = analytic_for_cell(cell)
+        pred, start = analytic_for_cell(cell)
         assert (pred.b_pop, pred.b_group0, pred.b_group1, pred.tau) == (0.0, 0.0, 0.0, 0.0)
         assert cell.analytic == pred
+        assert cell.start == start == TABLE_BETA
 
 
 def test_analytic_for_short_linear_model():
-    pred = analytic_for_cell(small_cell())
+    pred, _ = analytic_for_cell(small_cell())
     direct = omitted_group_errors(LinearDgpCoefficients(*TABLE_BETA), TABLE_MIXTURE)
     for name in ("b_pop", "b_group0", "b_group1", "tau"):
         assert getattr(pred, name) == pytest.approx(getattr(direct, name), abs=1e-13)
@@ -209,14 +210,19 @@ def test_analytic_for_short_probit_model():
     # The probit closed form is shifted from this limit where the groups'
     # X2 means differ, and does not apply to correlated groups at all.
     for mixture in (independent_mixture(), TABLE_MIXTURE):
-        pred = analytic_for_cell(small_cell(family="probit", model="probit", mixture=mixture))
-        _, limit = probit_short_fit_limit(TABLE_BETA, mixture)
+        cell = small_cell(family="probit", model="probit", mixture=mixture)
+        pred, start = analytic_for_cell(cell)
+        coefficients, limit = probit_short_fit_limit(TABLE_BETA, mixture)
         for name in ("b_pop", "b_group0", "b_group1", "tau"):
             assert getattr(pred, name) == pytest.approx(getattr(limit, name), abs=1e-10)
+        # the replications' Newton start is the limit's own fit
+        assert cell.start == start == pytest.approx(coefficients, abs=1e-9)
 
 
 def test_no_analytic_for_uncovered_cells():
-    assert analytic_for_cell(small_cell(model="forest")) is None
+    cell = small_cell(model="forest")
+    assert analytic_for_cell(cell) == (None, None)
+    assert cell.analytic is cell.start is None
 
 
 def test_every_parametric_cell_has_an_analytic_value():
@@ -226,18 +232,31 @@ def test_every_parametric_cell_has_an_analytic_value():
         small_cell(family="logit", model="probit", features="both"),
         small_cell(family="probit", model="ols"),
     ):
-        assert cell.analytic == analytic_for_cell(cell) is not None
+        assert (cell.analytic, cell.start) == analytic_for_cell(cell)
+        assert cell.analytic is not None and cell.start is not None
 
 
 def test_the_analytic_value_is_kept_on_the_cell_and_not_evaluated_again(monkeypatch):
+    # The probit cell's start is a population fit, the logit cell's is beta.
     cell = small_cell(family="probit", model="probit", n=200)
-    calls = []
+    logit = small_cell(family="logit", model="logit", features="both", n=200)
+    twin = small_cell(family="probit", model="probit", n=200)
+    calls, starts = [], []
     monkeypatch.setattr(experiment, "analytic_for_cell", lambda c: calls.append(c))
-    row = run(small_config([cell], replications=2))[0]
+    monkeypatch.setattr(experiment, "_population_errors", lambda *a: calls.append(a))
+    for name in ("fit_probit", "fit_logit"):
+        def recorded(data, features, start=None, fit=getattr(experiment, name)):
+            starts.append(start)
+            return fit(data, features, start=start)
+
+        monkeypatch.setattr(experiment, name, recorded)
+    row = run(small_config([cell, logit], replications=2))[0]
     assert calls == []
+    assert starts == [cell.start] * 2 + [logit.start] * 2
+    assert len(cell.start) == 2 and logit.start == TABLE_BETA
     assert (row.analytic_b_g0, row.analytic_tau) == (cell.analytic.b_group0, cell.analytic.tau)
-    assert "analytic" not in repr(cell)
-    assert cell == small_cell(family="probit", model="probit", n=200)
+    assert "analytic" not in repr(cell) and "start" not in repr(cell)
+    assert cell == twin
 
 
 # --- running and aggregation ---
