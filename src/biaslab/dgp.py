@@ -10,6 +10,9 @@ reproducible and independent of execution order.
 Group labels are deterministic: of the ``2 * n_per_group`` rows, the last
 ``round(2 * n_per_group * weight_protected)`` are A=1 and the rest A=0. Fixed
 group sizes match the simulation design and remove one source of variance.
+Both 0/1 columns, the group label ``a`` and the Bernoulli draw ``z``, are
+stored as ``np.uint8``, one byte a row; every consumer takes any 0/1 integer
+or bool array and gives the same bits.
 
 For classification families the stored ``y`` is the true risk Phi(index) or
 S(index) with no added noise, and ``z`` is the Bernoulli(y) draw; prediction
@@ -117,6 +120,9 @@ class Dataset:
 
     ``y`` is the regression outcome or the classification true risk;
     ``z`` is the Bernoulli(y) label for classification and None otherwise.
+    ``generate`` stores the 0/1 columns ``a`` and ``z`` as ``np.uint8``; the
+    fits, ``predict`` and ``error_report`` accept any 0/1 integer or bool
+    array there.
     """
 
     x1: np.ndarray
@@ -153,7 +159,8 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
     outcomes store the exact risk in ``y`` and a Bernoulli draw in ``z``.
     Identical (spec, seed) gives a bit-identical Dataset.
 
-    The rows are drawn block by block (``audit._BLOCK`` rows) straight into
+    The rows are drawn block by block (``audit._BLOCK`` rows) into reused
+    buffers, the draws and their transform by the factor, and copied into
     the output columns: each group's features, then every row's outcome.
     Each block's draws continue the stream where the last block's ended, so
     the Dataset does not depend on the block size, and nothing n-sized is
@@ -163,19 +170,25 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
     n = 2 * spec.n_per_group
     sizes = spec.group_sizes
     x1, x2, y = np.empty(n), np.empty(n), np.empty(n)
+    draws, features = np.empty((2, min(n, audit._BLOCK), 2))
     for g, (start, stop) in zip(spec.mixture.groups, ((0, sizes[0]), (sizes[0], n))):
-        factor, mean = g.cholesky().T, g.mean_array()
+        factor, (m1, m2) = g.cholesky().T, g.mean_array()
         for block in audit._blocks(start, stop):
-            features = rng.standard_normal((block.stop - block.start, 2)) @ factor
-            features += mean
-            x1[block], x2[block] = features.T
-    a = np.repeat(np.array([0, 1], dtype=np.int64), sizes)
+            rows = block.stop - block.start
+            rng.standard_normal(out=draws[:rows])
+            np.matmul(draws[:rows], factor, out=features[:rows])
+            x1[block], x2[block] = features[:rows].T
+            x1[block] += m1
+            x2[block] += m2
+    a = np.repeat(np.array([0, 1], dtype=np.uint8), sizes)
     classify = spec.family in CLASSIFICATION_FAMILIES
-    z = np.empty(n, dtype=np.int64) if classify else None
+    z = np.empty(n, dtype=np.uint8) if classify else None
+    noise = draws.reshape(-1)
     for block in audit._blocks(0, n):
+        rows = block.stop - block.start
         y[block] = conditional_mean(spec.family, spec.beta, x1[block], x2[block])
         if classify:
-            np.less(rng.random(block.stop - block.start), y[block], out=z[block])
+            np.less(rng.random(out=noise[:rows]), y[block], out=z[block])
         else:
-            y[block] += rng.standard_normal(block.stop - block.start)
+            y[block] += rng.standard_normal(out=noise[:rows])
     return Dataset(x1=x1, x2=x2, a=a, y=y, z=z)

@@ -22,16 +22,16 @@ sorted row by its bootstrap count and stably partitions the lists down the
 tree. scipy supplies only scalar numerics primitives (normal CDF, log CDF,
 logistic), never the fitting itself; they are read through ``_special``,
 which loads scipy's compiled ufunc module (not the scipy.special package) on
-the first probit or logit call, so ols and forest fits never load it.
+the first probit or logit call, so ols and forest fits never load it. In the
+same way ``multiprocessing`` and the process pool load on the first forest
+fit, so a run without a forest never imports them.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,7 +213,11 @@ def _singular_values(blocks: _ProductBlocks) -> np.ndarray:
 
 
 def _signed(values: np.ndarray, z) -> np.ndarray:
-    """(2z - 1) * values in one new array: values where z = 1, -values where z = 0."""
+    """(2z - 1) * values in one new float array: values where z = 1, -values where z = 0.
+
+    ``z`` may be any 0/1 integer or bool array, or floats; it is widened to
+    float here, one block at a time.
+    """
     out = np.multiply(z, 2.0)
     out -= 1.0
     out *= values
@@ -424,7 +428,7 @@ def _fit_mle(data: Dataset, features: str, link, family: str, start) -> FittedMo
     if data.z is None:
         raise ConfigError("classification fit requires a dataset with z labels")
     columns = _columns(data.x1, data.x2, features)
-    # The labels may stay integers: no float copy of z is made.
+    # The labels stay as given, any 0/1 integers or bools: no float copy of z is made.
     z = _outcome(data.z, columns, "z")
     n1 = audit._count_ones(z, "z labels")
     if n1 == 0 or n1 == z.shape[0]:
@@ -641,6 +645,9 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     tree drew raises BiaslabError, and a ``y`` of another length than ``x1``
     ConfigError.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     columns = _columns(data.x1, data.x2, features)
     y = _outcome(data.y, columns, "y", dtype=float)
     # trees do not use an intercept

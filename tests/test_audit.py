@@ -115,10 +115,27 @@ def rational_sum(values):
 
 @st.composite
 def summands(draw):
-    """Finite arrays of a few or a thousand terms, any exponent, some terms cancelled."""
+    """Finite arrays of a few or a thousand terms, any exponent, some terms cancelled.
+
+    A few terms are drawn one by one. A thousand are made by numpy from a
+    few drawn terms and a drawn seed: each entry is a random one of the
+    terms with a random sign, scaled by a random power of two within a drawn
+    spread of exponents (2,100 reaches any exponent), so Hypothesis's input
+    stays within its entropy limit (its data_too_large health check).
+    """
     size = draw(st.one_of(st.integers(1, 60), st.integers(1000, 2000)))
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    values = draw(arrays(np.float64, size, elements=finite, fill=st.nothing()))
+    if size <= 60:
+        values = draw(arrays(np.float64, size, elements=finite, fill=st.nothing()))
+    else:
+        terms = np.array(draw(st.lists(finite, min_size=1, max_size=8)))
+        spread = draw(st.integers(0, 2100))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        mantissas, exponents = np.frexp(terms[rng.integers(0, terms.shape[0], size)])
+        exponents = exponents + rng.integers(-spread, spread + 1, size)
+        # frexp's exponents of finite floats run from -1073 to 1024
+        values = np.ldexp(mantissas * rng.choice([-1.0, 1.0], size),
+                          np.clip(exponents, -1073, 1024))
     cancelled = draw(st.integers(0, size))
     return np.concatenate([values, -values[:cancelled]])
 

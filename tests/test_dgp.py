@@ -48,6 +48,17 @@ def test_group_labels_are_block_ordered():
     assert np.array_equal(ds.a[50:], np.ones(50, dtype=np.int64))
 
 
+@pytest.mark.parametrize("family", ["linear", "polynomial", "probit", "logit"])
+def test_labels_are_one_byte(family):
+    beta = LINEAR_BETA + (0.5, -0.5, 0.25) if family == "polynomial" else LINEAR_BETA
+    ds = generate(spec_for(family, beta=beta, n=300), seed=3)
+    assert ds.a.dtype == np.uint8
+    if family in ("probit", "logit"):
+        assert ds.z.dtype == np.uint8 and set(np.unique(ds.z).tolist()) == {0, 1}
+    else:
+        assert ds.z is None
+
+
 def test_group_sizes_follow_the_protected_weight():
     mixture = make_mixture((0.0, 1.0), (0.5, 2.0), weight=0.1)
     ds = generate(spec_for("probit", mixture=mixture, n=500), seed=4)

@@ -1,5 +1,7 @@
 """From-scratch fits: least squares, probit/logit Newton MLE, CART forest."""
 
+import concurrent.futures
+import json
 import math
 import tracemalloc
 
@@ -231,9 +233,16 @@ def test_binary_fits_take_only_0_1_labels(fit, labels, rows, error, match):
 
 @pytest.mark.parametrize("fit", [fit_probit, fit_logit])
 def test_bool_labels_give_the_int_labels_fit(fit):
-    ds = dataset("probit", (-1.0, 0.7, 0.4), n=500, seed=5)
-    as_bool = Dataset(ds.x1, ds.x2, ds.a, ds.y, ds.z.astype(bool))
-    assert fit(as_bool, "both") == fit(ds, "both")
+    # generate stores a and z as uint8; the fits, predict and the audit read
+    # int64, uint8 and bool 0/1 labels to the same bits. 12,000 rows make two blocks.
+    ds = dataset("probit", (-1.0, 0.7, 0.4), n=6_000, seed=5)
+    runs = []
+    for dtype in (np.int64, np.uint8, bool):
+        data = Dataset(ds.x1, ds.x2, ds.a.astype(dtype), ds.y, ds.z.astype(dtype))
+        model = fit(data, "both")
+        scores = predict(model, data.x1, data.x2)
+        runs.append((model, scores.tobytes(), error_report(scores, data.y, data.a)))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_separable_logit_raises_separation():
@@ -722,12 +731,13 @@ def record_pools(monkeypatch):
     """Replace the pool class with one that logs each pool's worker count."""
     pools = []
 
-    class RecordingPool(estimators.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers, **kwargs)
 
-    monkeypatch.setattr(estimators, "ProcessPoolExecutor", RecordingPool)
+    # fit_forest imports the pool class from concurrent.futures on each call.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return pools
 
 
@@ -743,6 +753,28 @@ def test_forest_is_the_same_for_any_worker_count(monkeypatch):
     # predict scores serially: the fit's pool is the only one
     assert pools == [1, 3]
     assert runs[0] == runs[1]
+
+
+def test_the_pool_modules_load_on_the_first_forest_fit():
+    # Parsing the parametric and sweep configs fits no forest, so the process
+    # pool's modules stay unloaded until a forest fit imports them.
+    out = fresh_python("""
+import json, sys
+import biaslab
+from biaslab.experiment import TABLE_MIXTURE
+for name in ("parametric", "sweep"):
+    biaslab.load_config("benchmarks/configs/%s.json" % name)
+pool = ("multiprocessing", "concurrent.futures.process")
+before = [m in sys.modules for m in pool]
+spec = biaslab.DgpSpec("linear", (-2.0, 1.0, 1.0), TABLE_MIXTURE, 60)
+model = biaslab.fit_forest(biaslab.generate(spec, 1), "both", seed=3)
+after = [m in sys.modules for m in pool]
+print(json.dumps({"before": before, "after": after, "fitted": model.fitted.tobytes().hex()}))
+""")
+    spec = DgpSpec("linear", (-2.0, 1.0, 1.0), TABLE_MIXTURE, 60)
+    fitted = fit_forest(generate(spec, 1), "both", seed=3).fitted.tobytes().hex()
+    got = json.loads(out.splitlines()[-1])
+    assert got == {"before": [False, False], "after": [True, True], "fitted": fitted}
 
 
 def test_a_forest_replication_opens_one_pool_and_audits_the_fitted_scores(monkeypatch):
