@@ -19,7 +19,6 @@ import numpy as np
 from biaslab import (
     DgpSpec,
     GroupGaussianSpec,
-    LinearDgpCoefficients,
     MixtureSpec,
     bias_vanishes_condition,
     error_report,
@@ -31,7 +30,7 @@ from biaslab import (
     predict,
 )
 
-BETA = LinearDgpCoefficients(beta0=-2.0, beta1=1.0, beta2=1.0)
+BETA = (-2.0, 1.0, 1.0)  # (beta0, beta1, beta2)
 
 MIXTURE = MixtureSpec(
     groups=(
@@ -47,7 +46,7 @@ def main():
     print("-" * 60)
     gamma = omitted_coefficients(BETA, pooled_moments(MIXTURE))
     pred = omitted_group_errors(BETA, MIXTURE)
-    print("short model      intercept %+.4f   slope %+.4f" % (gamma.gamma0, gamma.gamma1))
+    print("short model      intercept %+.4f   slope %+.4f" % gamma)
     print("group errors     b_0 %+.4f   b_1 %+.4f   gap %+.4f"
           % (pred.b_group0, pred.b_group1, pred.tau))
     print("population error %+.4f (weighted group errors, zero by construction)"
@@ -56,8 +55,7 @@ def main():
     print()
     print("One large simulated fit (200,000 rows per group)")
     print("-" * 60)
-    spec = DgpSpec(family="linear", beta=(BETA.beta0, BETA.beta1, BETA.beta2),
-                   mixture=MIXTURE, n_per_group=200_000)
+    spec = DgpSpec(family="linear", beta=BETA, mixture=MIXTURE, n_per_group=200_000)
     data = generate(spec, seed=20240914)
     model = fit_ols(data, "x1_only")
     report = error_report(predict(model, data.x1), data.y, data.a)

@@ -24,7 +24,6 @@ from biaslab import (
     DgpSpec,
     GroupGaussianSpec,
     MixtureSpec,
-    ProbitDgpCoefficients,
     error_report,
     fit_probit,
     generate,
@@ -33,7 +32,7 @@ from biaslab import (
     predict,
 )
 
-BETA = ProbitDgpCoefficients(beta0=-2.0, beta1=1.0, beta2=1.0)
+BETA = (-2.0, 1.0, 1.0)  # (beta0, beta1, beta2)
 
 IDENTITY = ((1.0, 0.0), (0.0, 1.0))
 MIXTURE = MixtureSpec(
@@ -51,15 +50,14 @@ def main():
     gamma = omitted_coefficients_probit(BETA, mu2=2.0, sigma2=1.0)
     pred = omitted_group_errors_probit(BETA, MIXTURE)
     print("attenuated model  intercept %+.5f   slope %+.5f  (1/sqrt(2) = %.5f)"
-          % (gamma.gamma0, gamma.gamma1, 1.0 / np.sqrt(2.0)))
+          % (*gamma, 1.0 / np.sqrt(2.0)))
     print("group errors      b_0 %+.5f   b_1 %+.5f   gap %+.5f"
           % (pred.b_group0, pred.b_group1, pred.tau))
 
     print()
     print("Fit on simulated data (200,000 rows per group)")
     print("-" * 64)
-    spec = DgpSpec(family="probit", beta=(BETA.beta0, BETA.beta1, BETA.beta2),
-                   mixture=MIXTURE, n_per_group=200_000)
+    spec = DgpSpec(family="probit", beta=BETA, mixture=MIXTURE, n_per_group=200_000)
     data = generate(spec, seed=20240914)
     model = fit_probit(data, "x1_only")
     report = error_report(predict(model, data.x1), data.y, data.a)

@@ -93,7 +93,8 @@ def git(root: Path, *args: str) -> str:
 
 
 def extract(root: Path, sha: str, into: Path) -> None:
-    """Write the files of commit ``sha`` into the directory ``into``."""
+    """Write the files of commit ``sha`` into the new directory ``into``."""
+    into.mkdir()
     archive = subprocess.Popen(
         ["git", "archive", "--format=tar", sha], cwd=root, stdout=subprocess.PIPE
     )
@@ -164,7 +165,6 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {"parent": Path(tmp) / "parent", "change": root}
-        trees["parent"].mkdir()
         extract(root, parent, trees["parent"])
         for workload in (w["name"] for w in spec["workloads"]):
             pairs = []

@@ -3,9 +3,9 @@
     python3 scripts/diff_outputs.py --base SHA [--change SHA]
 
 Run from anywhere inside the repository. The parent (``--base``) is extracted
-with ``git archive`` into a temporary directory, as ``scripts/bench_pairs.py``
-does; the change is the working tree, or ``--change SHA`` extracted the same
-way. On both sides it runs ``biaslab run --format json`` on the three
+with ``git archive`` into a temporary directory by ``scripts/bench_pairs.py``'s
+``extract``; the change is the working tree, or ``--change SHA`` extracted the
+same way. On both sides it runs ``biaslab run --format json`` on the three
 benchmark configs (the sweep at seeds 20240914, 1 and 2) and ``biaslab
 table1 --replications 2 --format json``, and prints, per run:
 
@@ -29,7 +29,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-SIDES = ("parent", "change")
+from bench_pairs import SIDES, extract, git
+
 ROUNDING = 1e-12
 SWEEP_SEEDS = (20240914, 1, 2)
 # (name, arguments of ``python -m biaslab``), each run in both trees
@@ -59,8 +60,9 @@ def compare_rows(parent: list[dict], change: list[dict]) -> dict:
     column, both values, the absolute and relative move and the rounding
     mark), "flipped", one per verdict that went from consistent to
     inconsistent or back, and "errors", one per error row that appears or
-    disappears. A missing (non-finite) value has no move. Rows of different
-    count or labels raise ValueError: the two runs are not of one grid.
+    disappears. A missing value (non-finite, or in a column that only one
+    side has) has no move. Rows of different count or labels raise
+    ValueError: the two runs are not of one grid.
     """
     if [label(r) for r in parent] != [label(r) for r in change]:
         raise ValueError("the two runs' cells differ: %s against %s"
@@ -74,10 +76,12 @@ def compare_rows(parent: list[dict], change: list[dict]) -> dict:
         elif verdicts[0] != verdicts[1]:
             flipped.append({"cell": cell, "label": label(old), "parent": verdicts[0],
                             "change": verdicts[1]})
-        for column in old:
-            if column in KEYS or column == "verdict" or old[column] == new.get(column):
+        for column in old | new:
+            a, b = old.get(column), new.get(column)
+            if column in KEYS or column == "verdict":
                 continue
-            a, b = old[column], new.get(column)
+            if a == b and column in old and column in new:
+                continue
             entry = {"cell": cell, "label": label(old), "column": column, "parent": a,
                      "change": b, "abs": None, "rel": None, "rounding": False}
             if isinstance(a, (int, float)) and isinstance(b, (int, float)):
@@ -115,25 +119,6 @@ def listing(name: str, found: dict) -> list[str]:
         lines.append("  ERROR ROW cell %d %s: %s -> %s (%s)" % (
             e["cell"], e["label"], e["parent"], e["change"], e["error"]))
     return lines
-
-
-def git(root: Path, *args: str) -> str:
-    done = subprocess.run(
-        ["git", *args], cwd=root, capture_output=True, text=True, check=True, timeout=120
-    )
-    return done.stdout.strip()
-
-
-def extract(root: Path, sha: str, into: Path) -> None:
-    """Write the files of commit ``sha`` into the directory ``into``."""
-    into.mkdir()
-    archive = subprocess.Popen(
-        ["git", "archive", "--format=tar", sha], cwd=root, stdout=subprocess.PIPE
-    )
-    untar = subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, timeout=300)
-    archive.stdout.close()
-    if archive.wait(timeout=300) != 0 or untar.returncode != 0:
-        raise SystemExit("error: could not extract %s" % sha)
 
 
 def run_rows(tree: Path, args: tuple[str, ...]) -> list[dict]:

@@ -9,16 +9,12 @@ that checks every closed form against Monte Carlo.
 
 from .analytic_linear import (
     GroupErrorPrediction,
-    LinearDgpCoefficients,
-    ShortModelCoefficients,
     bias_vanishes_condition,
     omitted_coefficients,
     omitted_group_errors,
     worst_case_check,
 )
 from .analytic_probit import (
-    ProbitDgpCoefficients,
-    ProbitShortCoefficients,
     gaussian_cdf_expectation,
     omitted_coefficients_probit,
     omitted_group_errors_probit,
@@ -75,15 +71,11 @@ __all__ = [
     "GroupErrorPrediction",
     "GroupGaussianSpec",
     "InvalidCovarianceError",
-    "LinearDgpCoefficients",
     "MixtureSpec",
     "MomentSummary",
-    "ProbitDgpCoefficients",
-    "ProbitShortCoefficients",
     "RankDeficiencyError",
     "ResultRow",
     "SeparationError",
-    "ShortModelCoefficients",
     "bias_vanishes_condition",
     "compare",
     "derive_seed",

@@ -14,6 +14,7 @@ the negation.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .exceptions import DegenerateVarianceError
@@ -21,23 +22,6 @@ from .moments import MixtureSpec, MomentSummary, group_moments, pooled_moments
 
 _VAR_TOL = 1e-12
 _VANISH_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class LinearDgpCoefficients:
-    """Coefficients of the true linear outcome Y = b0 + b1*X1 + b2*X2 + eps."""
-
-    beta0: float
-    beta1: float
-    beta2: float
-
-
-@dataclass(frozen=True)
-class ShortModelCoefficients:
-    """Population least-squares coefficients of the fit that omits X2."""
-
-    gamma0: float
-    gamma1: float
 
 
 @dataclass(frozen=True)
@@ -60,13 +44,12 @@ class GroupErrorPrediction:
         return cls(b_pop=p0 * b0 + p1 * b1, b_group0=b0, b_group1=b1, tau=b1 - b0)
 
 
-def omitted_coefficients(
-    beta: LinearDgpCoefficients, m: MomentSummary
-) -> ShortModelCoefficients:
-    """Population coefficients of the short model (X2 omitted).
+def omitted_coefficients(beta: Sequence[float], m: MomentSummary) -> tuple[float, float]:
+    """Population coefficients (gamma0, gamma1) of the short model (X2 omitted).
 
-    gamma1 absorbs the part of X2 predictable from X1; gamma0 absorbs the
-    rest of the mean shift:
+    beta is (beta0, beta1, beta2) of the true outcome
+    Y = beta0 + beta1*X1 + beta2*X2 + eps. gamma1 absorbs the part of X2
+    predictable from X1; gamma0 absorbs the rest of the mean shift:
 
         gamma1 = beta1 + beta2 * Cov(X1, X2) / Var(X1)
         gamma0 = beta0 + beta2 * (E[X1^2] E[X2] - E[X1] E[X1 X2]) / Var(X1)
@@ -77,18 +60,17 @@ def omitted_coefficients(
         If Var(X1) <= 1e-12; the formulas are undefined and a silent
         pseudo-inverse fallback would mask misuse.
     """
+    b0, b1, b2 = beta
     if m.var_x1 <= _VAR_TOL:
         raise DegenerateVarianceError(
             "Var(X1) = %r is too small for the short-model formulas" % m.var_x1
         )
-    gamma0 = beta.beta0 + beta.beta2 * (m.e_x1_sq * m.e_x2 - m.e_x1 * m.e_x1x2) / m.var_x1
-    gamma1 = beta.beta1 + beta.beta2 * m.cov_x1x2 / m.var_x1
-    return ShortModelCoefficients(gamma0=gamma0, gamma1=gamma1)
+    gamma0 = b0 + b2 * (m.e_x1_sq * m.e_x2 - m.e_x1 * m.e_x1x2) / m.var_x1
+    gamma1 = b1 + b2 * m.cov_x1x2 / m.var_x1
+    return gamma0, gamma1
 
 
-def omitted_group_errors(
-    beta: LinearDgpCoefficients, spec: MixtureSpec
-) -> GroupErrorPrediction:
+def omitted_group_errors(beta: Sequence[float], spec: MixtureSpec) -> GroupErrorPrediction:
     """Group mean errors of the short model, e = Yhat - Y.
 
     For group a:
@@ -101,19 +83,19 @@ def omitted_group_errors(
     b_pop = Pr(A=1) b_1 + Pr(A=0) b_0 cancels to zero algebraically; it is
     returned as computed (floating dust included) rather than forced.
     """
+    b0, _, b2 = beta
     pooled = pooled_moments(spec)
-    gamma = omitted_coefficients(beta, pooled)
-    shift = gamma.gamma0 - beta.beta0
-    slope = beta.beta2 * pooled.cov_x1x2 / pooled.var_x1
+    shift = omitted_coefficients(beta, pooled)[0] - b0
+    slope = b2 * pooled.cov_x1x2 / pooled.var_x1
 
     def one_group(a: int) -> float:
         g = group_moments(spec, a)
-        return shift + slope * g.e_x1 - beta.beta2 * g.e_x2
+        return shift + slope * g.e_x1 - b2 * g.e_x2
 
     return GroupErrorPrediction.of_groups(one_group(0), one_group(1), spec)
 
 
-def bias_vanishes_condition(beta: LinearDgpCoefficients, spec: MixtureSpec) -> bool:
+def bias_vanishes_condition(beta: Sequence[float], spec: MixtureSpec) -> bool:
     """Whether the short model's bias tau is zero for this population.
 
     True iff
@@ -125,7 +107,8 @@ def bias_vanishes_condition(beta: LinearDgpCoefficients, spec: MixtureSpec) -> b
     is beta2 * (left side - right side), so this agrees with
     |tau| <= 1e-10 * |beta2|, not with |tau| <= 1e-10.
     """
-    if beta.beta2 == 0.0:
+    _, _, b2 = beta
+    if b2 == 0.0:
         return True
     pooled = pooled_moments(spec)
     if pooled.var_x1 <= _VAR_TOL:

@@ -22,7 +22,7 @@ Error sign convention: e = Yhat - Y.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from math import hypot, sqrt
 
 from . import _special
@@ -32,23 +32,6 @@ from .moments import MixtureSpec, group_moments, pooled_moments
 
 # Tolerance for "zero" within-group covariance and equal group variances.
 _ASSUMPTION_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProbitDgpCoefficients:
-    """Coefficients of the latent index; risk is Phi(b0 + b1*X1 + b2*X2)."""
-
-    beta0: float
-    beta1: float
-    beta2: float
-
-
-@dataclass(frozen=True)
-class ProbitShortCoefficients:
-    """Population probit coefficients of the fit that omits X2."""
-
-    gamma0: float
-    gamma1: float
 
 
 def std_normal_cdf(x):
@@ -72,9 +55,12 @@ def gaussian_cdf_expectation(a: float, b: float, mu: float, sigma: float) -> flo
 
 
 def omitted_coefficients_probit(
-    beta: ProbitDgpCoefficients, mu2: float, sigma2: float
-) -> ProbitShortCoefficients:
-    """Population probit coefficients of the short model (X2 omitted).
+    beta: Sequence[float], mu2: float, sigma2: float
+) -> tuple[float, float]:
+    """Population probit coefficients (gamma0, gamma1) of the short model (X2 omitted).
+
+    beta is (beta0, beta1, beta2) of the latent index; risk is
+    Phi(beta0 + beta1*X1 + beta2*X2).
 
         gamma0 = (beta0 + beta2*mu2) / sqrt(1 + beta2^2 sigma2^2)
         gamma1 = beta1 / sqrt(1 + beta2^2 sigma2^2)
@@ -84,13 +70,11 @@ def omitted_coefficients_probit(
     group-error entry point checks it). The root is hypot(1, beta2*sigma2),
     which never squares, so it does not overflow where b^2 sigma^2 would.
     """
+    b0, b1, b2 = beta
     if not sigma2 > 0:
         raise ConfigError("sigma2 must be positive, got %r" % (sigma2,))
-    denom = hypot(1.0, beta.beta2 * sigma2)
-    return ProbitShortCoefficients(
-        gamma0=(beta.beta0 + beta.beta2 * mu2) / denom,
-        gamma1=beta.beta1 / denom,
-    )
+    denom = hypot(1.0, b2 * sigma2)
+    return (b0 + b2 * mu2) / denom, b1 / denom
 
 
 def _check_assumptions(spec: MixtureSpec) -> float:
@@ -111,9 +95,7 @@ def _check_assumptions(spec: MixtureSpec) -> float:
     return max(g0.var_x2, 0.0)  # dust below 0 is clipped, as in cholesky
 
 
-def omitted_group_errors_probit(
-    beta: ProbitDgpCoefficients, spec: MixtureSpec
-) -> GroupErrorPrediction:
+def omitted_group_errors_probit(beta: Sequence[float], spec: MixtureSpec) -> GroupErrorPrediction:
     """Group mean errors of the short probit model, e = Yhat - Y.
 
     For group a with X1 mean/variance (mu1a, s1a^2), X2 group mean mu2a,
@@ -134,15 +116,16 @@ def omitted_group_errors_probit(
         If either group has nonzero Cov(X1, X2) or the groups' X2
         variances differ (tolerance 1e-10), naming the failed assumption.
     """
+    b0, b1, b2 = beta
     var2 = _check_assumptions(spec)
     mu2_pooled = pooled_moments(spec).e_x2
 
     def one_group(a: int) -> float:
         g = group_moments(spec, a)
-        d = hypot(1.0, beta.beta1 * sqrt(g.var_x1), beta.beta2 * sqrt(var2))
-        base = beta.beta0 + beta.beta1 * g.e_x1
-        short = float(_special.ndtr((base + beta.beta2 * mu2_pooled) / d))
-        true = float(_special.ndtr((base + beta.beta2 * g.e_x2) / d))
+        d = hypot(1.0, b1 * sqrt(g.var_x1), b2 * sqrt(var2))
+        base = b0 + b1 * g.e_x1
+        short = float(_special.ndtr((base + b2 * mu2_pooled) / d))
+        true = float(_special.ndtr((base + b2 * g.e_x2) / d))
         return short - true
 
     return GroupErrorPrediction.of_groups(one_group(0), one_group(1), spec)

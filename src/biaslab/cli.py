@@ -20,16 +20,13 @@ import math
 import sys
 
 from . import experiment
-from .analytic_linear import (
-    LinearDgpCoefficients,
-    bias_vanishes_condition,
-    omitted_group_errors,
-)
-from .analytic_probit import ProbitDgpCoefficients, omitted_group_errors_probit
+from .analytic_linear import bias_vanishes_condition, omitted_group_errors
+from .analytic_probit import omitted_group_errors_probit
 from .exceptions import BiaslabError, ConfigError
 from .experiment import (
     DEFAULT_REPLICATIONS,
     DEFAULT_SEED,
+    _load_json,
     load_config,
     parse_mixture,
     run,
@@ -111,18 +108,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_analytic(args) -> int:
     beta = _parse_beta(args.beta)
-    try:
-        with open(args.mixture) as fh:
-            mixture = parse_mixture(json.load(fh))
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError("cannot load mixture %r: %s" % (args.mixture, err)) from err
+    mixture = parse_mixture(_load_json(args.mixture, "mixture"))
     if args.family == "linear":
-        linear = LinearDgpCoefficients(*beta)
-        payload = dataclasses.asdict(omitted_group_errors(linear, mixture))
-        payload["bias_vanishes"] = bias_vanishes_condition(linear, mixture)
+        payload = dataclasses.asdict(omitted_group_errors(beta, mixture))
+        payload["bias_vanishes"] = bias_vanishes_condition(beta, mixture)
     else:
-        probit = ProbitDgpCoefficients(*beta)
-        payload = dataclasses.asdict(omitted_group_errors_probit(probit, mixture))
+        payload = dataclasses.asdict(omitted_group_errors_probit(beta, mixture))
     non_finite = [name for name, value in payload.items() if not math.isfinite(value)]
     if non_finite:  # json would print NaN or Infinity, which are not JSON
         raise ConfigError("closed form is not finite: %s" % ", ".join(non_finite))

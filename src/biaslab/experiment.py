@@ -372,10 +372,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
     return ExperimentConfig(cells, **config)
 
 
-def load_config(path) -> ExperimentConfig:
+def _load_json(path, what: str):
+    """The JSON object in file ``path``; an unreadable file or bad JSON is a ConfigError."""
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError("cannot load config %r: %s" % (str(path), err)) from err
-    return parse_config(obj)
+        raise ConfigError("cannot load %s %r: %s" % (what, str(path), err)) from err
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(_load_json(path, "config"))

@@ -16,12 +16,10 @@ import numpy as np
 import pytest
 
 from biaslab.analytic_linear import (
-    LinearDgpCoefficients,
     omitted_group_errors,
     worst_case_check,
 )
 from biaslab.analytic_probit import (
-    ProbitDgpCoefficients,
     gaussian_cdf_expectation,
     omitted_coefficients_probit,
     omitted_group_errors_probit,
@@ -108,7 +106,7 @@ def test_01_correct_specification_has_no_bias(table_rows):
 
 def test_02_linear_omitted_variable_closed_form(table_rows):
     failures = []
-    pred = omitted_group_errors(LinearDgpCoefficients(*TABLE_BETA), TABLE_MIXTURE)
+    pred = omitted_group_errors(TABLE_BETA, TABLE_MIXTURE)
     check(failures, abs(pred.b_group0 - 1.0) <= 1e-12, "analytic b_g0 != +1")
     check(failures, abs(pred.b_group1 + 1.0) <= 1e-12, "analytic b_g1 != -1")
     check(failures, abs(pred.tau + 2.0) <= 1e-12, "analytic tau != -2")
@@ -148,7 +146,7 @@ def test_03_total_probability_and_worst_case(table_rows):
             n_reports += 1
     check(failures, worst_rel <= 1e-9, "recombination error %.2e exceeds 1e-9" % worst_rel)
 
-    pred = omitted_group_errors(LinearDgpCoefficients(*TABLE_BETA), TABLE_MIXTURE)
+    pred = omitted_group_errors(TABLE_BETA, TABLE_MIXTURE)
     check(failures, abs(pred.b_group0 + pred.b_group1) <= 1e-12, "analytic mirror fails")
     check(failures, worst_case_check(pred, TABLE_MIXTURE), "analytic worst case fails")
     row = table_rows[("linear", "ols", "x1_only")]
@@ -168,10 +166,10 @@ def test_04_short_probit_coefficient_recovery():
     standard = make_mixture((0.0, 0.0), (0.0, 0.0))
     spec = DgpSpec(family="probit", beta=(-2.0, 1.0, 1.0), mixture=standard, n_per_group=100_000)
     model = fit_probit(generate(spec, seed=derive_seed(DEFAULT_SEED, "short-probit")), "x1_only")
-    gamma = omitted_coefficients_probit(ProbitDgpCoefficients(-2.0, 1.0, 1.0), mu2=0.0, sigma2=1.0)
+    gamma = omitted_coefficients_probit((-2.0, 1.0, 1.0), mu2=0.0, sigma2=1.0)
     targets = (-2.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    check(failures, abs(gamma.gamma0 - targets[0]) <= 1e-12, "closed form gamma0 off")
-    check(failures, abs(gamma.gamma1 - targets[1]) <= 1e-12, "closed form gamma1 off")
+    check(failures, abs(gamma[0] - targets[0]) <= 1e-12, "closed form gamma0 off")
+    check(failures, abs(gamma[1] - targets[1]) <= 1e-12, "closed form gamma1 off")
     for got, want, name in zip(model.coefficients, targets, ("gamma0", "gamma1")):
         check(failures, abs(got - want) <= 0.03, "%s fit %.4f not within 0.03 of %.4f" % (name, got, want))
     finish(
@@ -184,7 +182,7 @@ def test_04_short_probit_coefficient_recovery():
 
 def test_05_probit_group_errors_vs_simulation():
     failures = []
-    beta = ProbitDgpCoefficients(-2.0, 1.0, 1.0)
+    beta = (-2.0, 1.0, 1.0)
     mixture = independent_mixture()
     pred = omitted_group_errors_probit(beta, mixture)
     for got, want, name in (
@@ -256,7 +254,7 @@ def test_05_probit_group_errors_vs_simulation():
             cov1=cov_b,
             weight=rng.uniform(0.1, 0.9),
         )
-        p = omitted_group_errors_probit(ProbitDgpCoefficients(*b), spec_r)
+        p = omitted_group_errors_probit(b, spec_r)
         opposite += p.b_group0 * p.b_group1 <= 0.0
         trials += 1
     check(failures, opposite == 100, "opposite signs in %d/100 random configs" % opposite)

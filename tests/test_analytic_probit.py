@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from biaslab.analytic_probit import (
-    ProbitDgpCoefficients,
     gaussian_cdf_expectation,
     omitted_coefficients_probit,
     omitted_group_errors_probit,
@@ -43,7 +42,7 @@ PHI_REFERENCE = (
     (-37.5, 4.6053530095819548e-308),
 )
 
-BETA = ProbitDgpCoefficients(beta0=-2.0, beta1=1.0, beta2=1.0)
+BETA = (-2.0, 1.0, 1.0)
 
 
 def test_normal_cdf_against_high_precision_references():
@@ -93,14 +92,22 @@ def test_gaussian_cdf_expectation_matches_quadrature():
 
 def test_short_coefficients_attenuate():
     gamma = omitted_coefficients_probit(BETA, mu2=2.0, sigma2=1.0)
-    assert gamma.gamma0 == pytest.approx(0.0, abs=1e-12)
-    assert gamma.gamma1 == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
+    assert gamma[0] == pytest.approx(0.0, abs=1e-12)
+    assert gamma[1] == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
     untouched = omitted_coefficients_probit(
-        ProbitDgpCoefficients(-2.0, 1.0, 0.0), mu2=5.0, sigma2=1.0
+        (-2.0, 1.0, 0.0), mu2=5.0, sigma2=1.0
     )
-    assert (untouched.gamma0, untouched.gamma1) == (-2.0, 1.0)
+    assert untouched == (-2.0, 1.0)
     with pytest.raises(ValueError):
         omitted_coefficients_probit(BETA, mu2=0.0, sigma2=0.0)
+
+
+@pytest.mark.parametrize("beta", [(-2.0, 1.0), (-2.0, 1.0, 1.0, 1.0)])
+def test_a_beta_of_other_than_three_entries_is_refused(beta):
+    with pytest.raises(ValueError, match="values to unpack"):
+        omitted_coefficients_probit(beta, mu2=0.0, sigma2=1.0)
+    with pytest.raises(ValueError, match="values to unpack"):
+        omitted_group_errors_probit(beta, independent_mixture())
 
 
 def test_public_helpers_take_the_large_coefficient_limit():
@@ -109,8 +116,8 @@ def test_public_helpers_take_the_large_coefficient_limit():
     # (gamma0, gamma1) tends to (mu2 / sigma2, 0) = (2, 0).
     phi_one = dict(PHI_REFERENCE)[1.0]
     assert gaussian_cdf_expectation(0.0, 1e200, 1.0, 1.0) == pytest.approx(phi_one, abs=1e-9)
-    gamma = omitted_coefficients_probit(ProbitDgpCoefficients(0.0, 1.0, 1e200), 2.0, 1.0)
-    assert (gamma.gamma0, gamma.gamma1) == pytest.approx((2.0, 0.0), abs=1e-9)
+    gamma = omitted_coefficients_probit((0.0, 1.0, 1e200), 2.0, 1.0)
+    assert gamma == pytest.approx((2.0, 0.0), abs=1e-9)
 
 
 def test_reference_group_errors():
@@ -150,8 +157,8 @@ def test_group_errors_have_opposite_signs():
             continue
         var1 = rng.uniform(0.3, 2.0, size=2)
         var2 = rng.uniform(0.3, 2.0)
-        beta = ProbitDgpCoefficients(*rng.uniform(-2.0, 2.0, size=3))
-        if abs(beta.beta2) < 0.1:
+        beta = rng.uniform(-2.0, 2.0, size=3)
+        if abs(beta[2]) < 0.1:
             continue
         spec = make_mixture(
             (rng.uniform(-2.0, 2.0), mu2[0]),
@@ -170,7 +177,7 @@ def test_var_x2_rounding_below_zero_counts_as_zero():
     # 0; the closed form takes the same variance instead of sqrt's domain error.
     dust = ((1.0, 0.0), (0.0, -5e-11))
     zero = ((1.0, 0.0), (0.0, 0.0))
-    beta = ProbitDgpCoefficients(-2.0, 1.0, 1.0)
+    beta = (-2.0, 1.0, 1.0)
     clipped = omitted_group_errors_probit(beta, make_mixture((1, 1), (1, 3), dust, dust))
     assert clipped == omitted_group_errors_probit(beta, make_mixture((1, 1), (1, 3), zero, zero))
 
@@ -197,8 +204,8 @@ def test_population_limit_reproduces_the_exact_attenuation():
     # the closed form is exact and the limit fit must match it.
     gamma, limit = probit_short_fit_limit((-2.0, 1.0, 1.0), make_mixture((0.0, 0.0), (0.0, 0.0)))
     exact = omitted_coefficients_probit(BETA, mu2=0.0, sigma2=1.0)
-    assert gamma[0] == pytest.approx(exact.gamma0, abs=1e-8)
-    assert gamma[1] == pytest.approx(exact.gamma1, abs=1e-8)
+    assert gamma[0] == pytest.approx(exact[0], abs=1e-8)
+    assert gamma[1] == pytest.approx(exact[1], abs=1e-8)
     for value in (limit.b_pop, limit.b_group0, limit.b_group1, limit.tau):
         assert abs(value) <= 1e-8
 
@@ -220,5 +227,5 @@ def test_closed_form_tau_matches_the_population_limit_when_x1_is_shared():
         )
         beta = rng.uniform(-1.5, 1.5, size=3)
         _, limit = probit_short_fit_limit(tuple(beta), spec)
-        pred = omitted_group_errors_probit(ProbitDgpCoefficients(*beta), spec)
+        pred = omitted_group_errors_probit(beta, spec)
         assert pred.tau == pytest.approx(limit.tau, abs=1e-12)

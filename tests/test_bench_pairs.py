@@ -1,14 +1,16 @@
 """The summary that scripts/bench_pairs.py writes into a BENCH file, on canned result lines."""
 
-import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
-spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
-bench_pairs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(bench_pairs)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+if str(SCRIPTS) not in sys.path:
+    sys.path.insert(0, str(SCRIPTS))
+
+import bench_pairs  # noqa: E402
 
 
 def line(grid_s, peak_rss_mb, correct=True):
@@ -81,3 +83,25 @@ def test_table1_summary_keeps_each_pair_and_each_side_median():
     assert got["parent"] == {"median_seconds": 95.0}
     assert got["change"] == {"median_seconds": 80.0}
     assert bench_pairs.TABLE1_PAIRS == 3
+
+
+def commit(repo: Path, text: str) -> str:
+    """Write ``text`` to ``repo``/notes.txt, commit it and return the sha."""
+    (repo / "notes.txt").write_text(text)
+    bench_pairs.git(repo, "add", "notes.txt")
+    bench_pairs.git(repo, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", text)
+    return bench_pairs.git(repo, "rev-parse", "HEAD")
+
+
+def test_extract_writes_the_named_commits_files(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    subprocess.run(["git", "init", "-q"], cwd=repo, check=True, timeout=60)
+    first, second = commit(repo, "first"), commit(repo, "second")
+    for sha, text in ((first, "first"), (second, "second")):
+        into = tmp_path / sha
+        bench_pairs.extract(repo, sha, into)
+        assert [p.name for p in into.iterdir()] == ["notes.txt"]
+        assert (into / "notes.txt").read_text() == text
+    with pytest.raises(SystemExit, match="could not extract"):
+        bench_pairs.extract(repo, "0" * 40, tmp_path / "unknown")

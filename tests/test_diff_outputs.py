@@ -1,15 +1,17 @@
 """The listing that scripts/diff_outputs.py prints, on canned json rows."""
 
-import importlib.util
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "diff_outputs.py"
-spec = importlib.util.spec_from_file_location("diff_outputs", SCRIPT)
-diff_outputs = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(diff_outputs)
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+if str(SCRIPTS) not in sys.path:
+    sys.path.insert(0, str(SCRIPTS))
+
+import bench_pairs  # noqa: E402
+import diff_outputs  # noqa: E402
 
 
 def row(model, b_g0, b_pop=1e-17, verdict="consistent", error=""):
@@ -62,6 +64,19 @@ def test_a_zero_parent_value_moves_by_an_infinite_relative_amount():
     assert moved["rel"] == math.inf and moved["abs"] == 0.5
 
 
+def test_a_column_that_only_one_side_has_is_listed():
+    parent = row("ols", 0.5)
+    for old, new in (([parent], [dict(parent, se_x=0.1)]), ([dict(parent, se_x=0.1)], [parent])):
+        (moved,) = diff_outputs.compare_rows(old, new)["moved"]
+        assert moved["column"] == "se_x" and moved["abs"] is None
+        assert {moved["parent"], moved["change"]} == {0.1, None}
+
+
+def test_the_trees_are_extracted_by_bench_pairs():
+    assert diff_outputs.extract is bench_pairs.extract
+    assert diff_outputs.git is bench_pairs.git and diff_outputs.SIDES == bench_pairs.SIDES
+
+
 def test_runs_of_different_grids_are_refused():
     with pytest.raises(ValueError, match="cells differ"):
         diff_outputs.compare_rows([row("ols", 0.5)], [row("probit", 0.5)])
@@ -76,5 +91,5 @@ def test_the_runs_cover_the_three_benchmark_configs_and_table1():
     for _, args in diff_outputs.RUNS:
         assert args[-2:] == ("--format", "json")
         if args[0] == "run":
-            assert (SCRIPT.parent.parent / args[2]).is_file()
+            assert (SCRIPTS.parent / args[2]).is_file()
     assert diff_outputs.RUNS[-1][1][:3] == ("table1", "--replications", "2")

@@ -22,11 +22,9 @@ import biaslab
 from biaslab import cli, experiment
 from biaslab.analytic_linear import (
     GroupErrorPrediction,
-    LinearDgpCoefficients,
     omitted_group_errors,
 )
 from biaslab.analytic_probit import (
-    ProbitDgpCoefficients,
     gaussian_cdf_expectation,
     omitted_coefficients_probit,
 )
@@ -174,7 +172,7 @@ def test_estimator_and_audit_refusals_are_biaslab_errors(refuse, message):
     [
         (lambda: gaussian_cdf_expectation(0.0, 1.0, 0.0, -1.0), "sigma must"),
         (
-            lambda: omitted_coefficients_probit(ProbitDgpCoefficients(0.0, 1.0, 1.0), 0.0, 0.0),
+            lambda: omitted_coefficients_probit((0.0, 1.0, 1.0), 0.0, 0.0),
             "sigma2 must",
         ),
         (lambda: group_moments(TABLE_MIXTURE, 2), "group label"),
@@ -201,7 +199,7 @@ def test_analytic_for_correct_specification_is_zero():
 
 def test_analytic_for_short_linear_model():
     pred, _ = analytic_for_cell(small_cell())
-    direct = omitted_group_errors(LinearDgpCoefficients(*TABLE_BETA), TABLE_MIXTURE)
+    direct = omitted_group_errors(TABLE_BETA, TABLE_MIXTURE)
     for name in ("b_pop", "b_group0", "b_group1", "tau"):
         assert getattr(pred, name) == pytest.approx(getattr(direct, name), abs=1e-13)
 

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from biaslab.analytic_linear import LinearDgpCoefficients, omitted_group_errors
-from biaslab.analytic_probit import ProbitDgpCoefficients, omitted_group_errors_probit
+from biaslab.analytic_linear import omitted_group_errors
+from biaslab.analytic_probit import omitted_group_errors_probit
 from biaslab.dgp import DgpSpec
 from biaslab.estimators import _hermite_rule
 from biaslab.exceptions import BiaslabError
@@ -125,7 +125,7 @@ def test_short_logit_has_zero_population_error_and_mirrored_groups_at_equal_weig
 @given(mixture=mixtures(), beta=st.tuples(coefficients, coefficients, coefficients))
 def test_linear_closed_form_is_the_short_ols_limit(mixture, beta):
     pred = cell("linear", "ols", "x1_only", beta, mixture).analytic
-    closed = omitted_group_errors(LinearDgpCoefficients(*beta), mixture)
+    closed = omitted_group_errors(beta, mixture)
     scale = 1.0 + max(abs(closed.b_group0), abs(closed.b_group1))
     assert_close(pred, closed, 1e-10 * scale)
 
@@ -133,7 +133,7 @@ def test_linear_closed_form_is_the_short_ols_limit(mixture, beta):
 def test_probit_closed_form_tau_is_the_limit_and_its_levels_share_one_shift():
     mixture = independent_mixture()
     pred = cell("probit", "probit", "x1_only", TABLE_BETA, mixture).analytic
-    closed = omitted_group_errors_probit(ProbitDgpCoefficients(*TABLE_BETA), mixture)
+    closed = omitted_group_errors_probit(TABLE_BETA, mixture)
     assert closed.tau == pytest.approx(pred.tau, abs=1e-12)
     shift = closed.b_group0 - pred.b_group0
     assert closed.b_group1 - pred.b_group1 == pytest.approx(shift, abs=1e-12)
