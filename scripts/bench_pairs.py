@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -93,15 +94,28 @@ def git(root: Path, *args: str) -> str:
 
 
 def extract(root: Path, sha: str, into: Path) -> None:
-    """Write the files of commit ``sha`` into the new directory ``into``."""
+    """Write the files of commit ``sha`` into the new directory ``into``.
+
+    git's and tar's stderr are captured. Where either fails, ``into`` is
+    removed and the SystemExit names the first line git (else tar) wrote.
+    """
     into.mkdir()
-    archive = subprocess.Popen(
-        ["git", "archive", "--format=tar", sha], cwd=root, stdout=subprocess.PIPE
-    )
-    untar = subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, timeout=300)
-    archive.stdout.close()
-    if archive.wait(timeout=300) != 0 or untar.returncode != 0:
-        raise SystemExit("error: could not extract %s" % sha)
+    with tempfile.TemporaryFile() as git_stderr:
+        archive = subprocess.Popen(
+            ["git", "archive", "--format=tar", sha], cwd=root, stdout=subprocess.PIPE,
+            stderr=git_stderr,
+        )
+        untar = subprocess.run(
+            ["tar", "-x", "-C", str(into)], stdin=archive.stdout, capture_output=True, timeout=300
+        )
+        archive.stdout.close()
+        failed = archive.wait(timeout=300) != 0 or untar.returncode != 0
+        git_stderr.seek(0)
+        stderr = git_stderr.read() or untar.stderr
+    if failed:
+        shutil.rmtree(into)
+        first = (stderr.decode(errors="replace").splitlines() or ["no message"])[0]
+        raise SystemExit("error: could not extract %s: %s" % (sha, first))
 
 
 def run_benchmark(tree: Path, command: list[str], workload: str, seed: int, seconds: float):

@@ -174,26 +174,42 @@ def _exact_sum(values: np.ndarray) -> float:
     return _rounded(total)
 
 
+def _checked_labels(labels: np.ndarray, name: str) -> np.ndarray:
+    """A block of 0/1 labels as uint8; ConfigError names the first other label.
+
+    A uint8 or bool block is its own label array; any other is compared with 1.
+    """
+    if labels.dtype == bool or labels.dtype == np.uint8:
+        ones = labels.view(np.uint8)
+        if labels.dtype == bool or ones.max() <= 1:
+            return ones
+        stray = ones > 1
+    else:
+        in1 = labels == 1
+        stray = ~(in1 | (labels == 0))
+        if not stray.any():
+            return in1.view(np.uint8)
+    raise ConfigError("%s must be 0 or 1, got %r" % (name, labels[stray][0]))
+
+
 def _count_ones(labels: np.ndarray, name: str) -> int:
     """The number of 1s among 0/1 labels, block by block; ConfigError names any other label."""
-    n1 = 0
-    for block in _blocks(0, labels.shape[0]):
-        in1 = labels[block] == 1
-        stray = ~(in1 | (labels[block] == 0))
-        if stray.any():
-            raise ConfigError("%s must be 0 or 1, got %r" % (name, labels[block][stray][0]))
-        n1 += int(np.count_nonzero(in1))
-    return n1
+    return sum(
+        int(np.count_nonzero(_checked_labels(labels[block], name)))
+        for block in _blocks(0, labels.shape[0])
+    )
 
 
 def error_report(predictions, truths, groups) -> ErrorReport:
     """Audit predictions against truths, split by the 0/1 group labels.
 
     Two exact-sum passes make the report, each streaming the rows in
-    blocks of ``_BLOCK``. The first sums each group's errors; the
-    population's exact sum is theirs added. The second sums the squared
-    deviations of each group's errors from its mean and of all the errors
-    from the population mean, under labels 0, 1 and 2.
+    blocks of ``_BLOCK``. The first checks and counts each block's labels
+    and sums each group's errors; the population's exact sum is theirs
+    added. The second sums the squared deviations of each group's errors
+    from its mean and of all the errors from the population mean, under
+    labels 0, 1 and 2. Both passes take a uint8 or bool block of labels as
+    its own 0/1 label array and compare any other with 1.
 
     Raises ConfigError if the lengths differ or a label is not 0 or 1, and
     EmptyGroupError if either group has no rows.
@@ -203,16 +219,19 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     groups = np.asarray(groups)
     if not predictions.shape == truths.shape == groups.shape:
         raise ConfigError("predictions, truths and groups must have equal length")
-    n, n1 = groups.shape[0], _count_ones(groups, "group labels")
-    if n1 == 0 or n1 == n:
-        raise EmptyGroupError("both groups must be nonempty, got sizes %d and %d" % (n - n1, n1))
+    n, n1 = groups.shape[0], 0
 
     def errors():
-        """Each block's errors and their group labels, as uint8."""
+        """Each block's errors and their group labels as uint8, checked and counted."""
+        nonlocal n1
         for block in _blocks(0, n):
-            yield predictions[block] - truths[block], (groups[block] == 1).view(np.uint8)
+            labels = _checked_labels(groups[block], "group labels")
+            n1 += int(np.count_nonzero(labels))
+            yield predictions[block] - truths[block], labels
 
     total0, total1 = _label_totals(errors(), 2)
+    if n1 == 0 or n1 == n:
+        raise EmptyGroupError("both groups must be nonempty, got sizes %d and %d" % (n - n1, n1))
     # A non-finite total decides the population's, as in _exact_sum.
     special = [t for t in (total0, total1) if isinstance(t, float)]
     total = sum(special) if special else total0 + total1
@@ -221,10 +240,14 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     deviations = np.empty((2, min(n, _BLOCK)))
     labelled = np.full((2, min(n, _BLOCK)), 2, np.uint8)
 
+    own = groups.dtype == bool or groups.dtype == np.uint8
+
     def squares():
         """Each block's squared deviations from its group's mean (label 0 or 1), then from the
         population's (label 2), in one array."""
-        for e, labels in errors():
+        for block in _blocks(0, n):
+            e = predictions[block] - truths[block]
+            labels = groups[block].view(np.uint8) if own else groups[block] == 1
             d, d_labels = deviations[:, : e.shape[0]], labelled[:, : e.shape[0]]
             np.subtract(e, np.where(labels, b1, b0), out=d[0])
             np.subtract(e, b_pop, out=d[1])

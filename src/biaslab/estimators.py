@@ -144,7 +144,11 @@ class Tree:
     ``threshold[i]`` to child ``children[2 * i]`` and any other row, NaN
     included, to ``children[2 * i + 1]``, both later in the arrays. A leaf
     has threshold +inf, feature 0 and itself as both children, so a row
-    stays on it; its score is ``value[i]``.
+    stays on it; its score is ``value[i]``. ``feature`` is uint8, as
+    ``FEATURE_SETS`` has at most two features, and ``children`` the
+    smallest unsigned type that holds the 2**(d + 1) - 1 node ids of a tree
+    grown to depth d, uint16 at ``MAX_DEPTH`` 8, so a node takes 21 bytes;
+    ``threshold`` and ``value`` are float64.
     """
 
     feature: np.ndarray
@@ -266,24 +270,16 @@ class _LogitLink(_BernoulliLink):
 
     With e = exp(-|s|): L = min(s, 0) - log1p(e), the slope is e / (1 + e)
     for s >= 0 and 1 / (1 + e) below, and the curvature is e / (1 + e)^2,
-    so nothing cancels. The steps work in place, on at most four row arrays.
+    so nothing cancels.
     """
 
     @staticmethod
     def terms(eta: np.ndarray, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         s = _signed(eta, z)
-        e = np.abs(s)
-        np.negative(e, out=e)
-        np.exp(e, out=e)
-        ll = np.log1p(e)
-        nonneg = s >= 0.0
-        np.minimum(s, 0.0, out=s)
-        np.subtract(s, ll, out=ll)
-        one_e = np.add(e, 1.0, out=s)
-        e /= one_e  # e / (1 + e)
-        curvature = e / one_e
-        slope = np.divide(1.0, one_e, out=one_e)
-        np.copyto(slope, e, where=nonneg)
+        e = np.exp(-np.abs(s))
+        ll = np.minimum(s, 0.0) - np.log1p(e)
+        slope = np.where(s >= 0.0, e, 1.0) / (1.0 + e)
+        curvature = e / (1.0 + e) / (1.0 + e)
         return ll, slope, curvature
 
 
@@ -601,9 +597,10 @@ def _grow_tree(
 
     feature, threshold, left, right, value = zip(*nodes)
     return Tree(
-        feature=np.array(feature, dtype=np.int64),
+        feature=np.array(feature, dtype=np.uint8),
         threshold=np.array(threshold, dtype=float),
-        children=np.array([left, right], dtype=np.int64).T.ravel(),
+        # node ids run to 2**(max_depth + 1) - 2
+        children=np.array([left, right], np.min_scalar_type(2 ** (max_depth + 1) - 2)).T.ravel(),
         value=np.array(value, dtype=float),
     )
 
@@ -619,7 +616,10 @@ def _set_worker_inputs(inputs) -> None:
 def _fit_tree(t: int) -> tuple[Tree, np.ndarray, np.ndarray]:
     """Grow tree t on its bootstrap sample and score the rows it left out.
 
-    Returns the tree, the ids of its out-of-bag training rows and their scores.
+    Returns the tree, the ids of its out-of-bag training rows and their
+    scores. The ids are int32, as a generated dataset has at most
+    2 * ``MAX_N_PER_GROUP`` < 2**31 rows, which shrinks what the worker
+    sends back.
     """
     x, y, order, seed = _worker_inputs
     n = y.shape[0]
@@ -627,7 +627,7 @@ def _fit_tree(t: int) -> tuple[Tree, np.ndarray, np.ndarray]:
     counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
     tree = _grow_tree(x, order, y, counts, MAX_DEPTH, MIN_LEAF)
     oob = np.flatnonzero(counts == 0)
-    return tree, oob, _tree_predict(tree, x[oob])
+    return tree, oob.astype(np.int32), _tree_predict(tree, x[oob])
 
 
 def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
@@ -641,7 +641,8 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
 
     The worker that grows a tree also scores the rows its bootstrap left
     out. ``fitted`` holds each row's out-of-bag score: its scores summed in
-    tree order over the number of trees that left it out. A row that every
+    tree order over the number of trees that left it out, a count kept in
+    the smallest unsigned type that holds ``N_TREES``. A row that every
     tree drew raises BiaslabError, and a ``y`` of another length than ``x1``
     ConfigError.
     """
@@ -655,7 +656,7 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     n = y.shape[0]
     if n < 2 * MIN_LEAF:
         raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
-    trees, total, oob_trees = [], np.zeros(n), np.zeros(n, dtype=np.int64)
+    trees, total, oob_trees = [], np.zeros(n), np.zeros(n, dtype=np.min_scalar_type(N_TREES))
     with ProcessPoolExecutor(
         min(len(os.sched_getaffinity(0)), N_TREES),
         mp_context=multiprocessing.get_context("fork"),
@@ -687,11 +688,13 @@ def _tree_predict(tree: Tree, xmat: np.ndarray) -> np.ndarray:
     """
     flat = xmat.ravel()  # a copy unless xmat is C-contiguous
     row_start = np.arange(0, flat.shape[0], xmat.shape[1])
-    idx = np.zeros(xmat.shape[0], dtype=np.int64)
+    # gathers through narrow index arrays are slower: widen the tree's once
+    feature, children = tree.feature.astype(np.intp), tree.children.astype(np.intp)
+    idx = np.zeros(xmat.shape[0], dtype=np.intp)
     threshold = tree.threshold[idx]
     while not (threshold == np.inf).all():
-        xv = flat[row_start + tree.feature[idx]]
-        idx = tree.children[2 * idx + ~(xv <= threshold)]
+        xv = flat[row_start + feature[idx]]
+        idx = children[2 * idx + ~(xv <= threshold)]
         threshold = tree.threshold[idx]
     return tree.value[idx]
 

@@ -1,5 +1,6 @@
 """Group error reports and analytic-vs-empirical comparisons."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -13,7 +14,7 @@ from hypothesis.extra.numpy import arrays
 from biaslab import audit
 from biaslab.analytic_linear import GroupErrorPrediction
 from biaslab.audit import _exact_sum, compare, error_report, mean_se
-from biaslab.exceptions import EmptyGroupError
+from biaslab.exceptions import ConfigError, EmptyGroupError
 
 ZERO = GroupErrorPrediction(0.0, 0.0, 0.0, 0.0)
 
@@ -255,6 +256,34 @@ def test_shape_mismatch_rejected():
 def test_stray_group_labels_rejected(label):
     with pytest.raises(ValueError, match="0 or 1"):
         error_report([1.0, 2.0, 3.0, 4.0], [0.0] * 4, [0, 1, label, 1])
+
+
+@pytest.mark.parametrize("block", [7, audit._BLOCK])
+def test_uint8_bool_and_int64_labels_give_the_same_report(block, monkeypatch):
+    # uint8 and bool blocks are their own 0/1 labels; int64 ones are compared
+    # with 1. Strays and empty groups are refused alike, after earlier blocks.
+    monkeypatch.setattr(audit, "_BLOCK", block)
+    rng = np.random.default_rng(31)
+    predictions, truths = rng.standard_normal(50), rng.standard_normal(50)
+    groups = rng.random(50) < 0.3
+    dtypes = (np.int64, np.uint8, bool)
+    reports = [dataclasses.astuple(error_report(predictions, truths, groups.astype(t)))
+               for t in dtypes]
+    assert repr(reports[1]) == repr(reports[2]) == repr(reports[0])
+    for dtype in (np.int64, np.uint8):
+        stray = groups.astype(dtype)
+        stray[[20, 33]] = 2, 3
+        message = "group labels must be 0 or 1, got %r" % (stray[20],)
+        assert message in ("group labels must be 0 or 1, got np.int64(2)",
+                           "group labels must be 0 or 1, got np.uint8(2)")
+        with pytest.raises(ConfigError) as refused:
+            error_report(predictions, truths, stray)
+        assert str(refused.value) == message
+    for dtype in dtypes:
+        for label, sizes in ((0, "50 and 0"), (1, "0 and 50")):
+            with pytest.raises(EmptyGroupError) as refused:
+                error_report(predictions, truths, np.full(50, label, dtype))
+            assert str(refused.value) == "both groups must be nonempty, got sizes " + sizes
 
 
 def make_report(b_pop, b0, b1, se_pop, se0, se1):

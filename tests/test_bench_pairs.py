@@ -93,7 +93,7 @@ def commit(repo: Path, text: str) -> str:
     return bench_pairs.git(repo, "rev-parse", "HEAD")
 
 
-def test_extract_writes_the_named_commits_files(tmp_path):
+def test_extract_writes_the_named_commits_files(tmp_path, capfd):
     repo = tmp_path / "repo"
     repo.mkdir()
     subprocess.run(["git", "init", "-q"], cwd=repo, check=True, timeout=60)
@@ -103,5 +103,9 @@ def test_extract_writes_the_named_commits_files(tmp_path):
         bench_pairs.extract(repo, sha, into)
         assert [p.name for p in into.iterdir()] == ["notes.txt"]
         assert (into / "notes.txt").read_text() == text
-    with pytest.raises(SystemExit, match="could not extract"):
+    capfd.readouterr()
+    with pytest.raises(SystemExit, match="could not extract 0{40}: fatal: ") as refused:
         bench_pairs.extract(repo, "0" * 40, tmp_path / "unknown")
+    assert len(str(refused.value).splitlines()) == 1
+    assert not (tmp_path / "unknown").exists()
+    assert capfd.readouterr().err == ""

@@ -1,10 +1,12 @@
 """Seeded data generation: determinism, group sizes, moments, risks."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from biaslab import audit
 from biaslab.dgp import DgpSpec, derive_seed, generate
 from biaslab.moments import group_moments
 
@@ -39,6 +41,24 @@ def test_generation_is_deterministic():
         assert getattr(first, name).tobytes() == getattr(again, name).tobytes()
     other = generate(spec, seed=12)
     assert not np.array_equal(first.y, other.y)
+
+
+@pytest.mark.parametrize("family", ["probit", "linear"])
+def test_the_dataset_does_not_depend_on_the_block_size(family, monkeypatch):
+    # 0.3 of 2 * 9,001 rows puts 12,601 rows in group 0 and 5,401 in group 1:
+    # neither size is a multiple of 7 or 1,000, or of the default block.
+    spec = spec_for(family, mixture=dataclasses.replace(REFERENCE, weight_protected=0.3), n=9_001)
+    assert spec.group_sizes == (12_601, 5_401)
+    default = generate(spec, seed=13)
+    for block in (7, 1_000):
+        monkeypatch.setattr(audit, "_BLOCK", block)
+        ds = generate(spec, seed=13)
+        for name in ("x1", "x2", "a", "y", "z"):
+            got, want = getattr(ds, name), getattr(default, name)
+            if want is None:
+                assert got is None
+            else:
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (block, name)
 
 
 def test_group_labels_are_block_ordered():

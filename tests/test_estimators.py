@@ -647,8 +647,11 @@ def test_forest_tree_structure_invariants():
         assert np.all((tree.feature >= 0) & (tree.feature < 2))
         assert np.all(left[~leaf] > nodes[~leaf]) and np.all(right[~leaf] > nodes[~leaf])
         assert np.all(np.isfinite(tree.value))
-        # a binary tree of depth d has at most 2^(d+1) - 1 nodes
+        # a binary tree of depth d has at most 2^(d+1) - 1 nodes, so at
+        # depth 8 its ids fit two bytes; at most two features fit one
         assert tree.feature.shape[0] <= 2 ** (MAX_DEPTH + 1) - 1
+        assert (tree.feature.dtype, tree.children.dtype) == (np.uint8, np.uint16)
+        assert tree.threshold.dtype == tree.value.dtype == np.float64
 
 
 def test_forest_requires_enough_rows():
@@ -792,14 +795,21 @@ def test_a_forest_replication_opens_one_pool_and_audits_the_fitted_scores(monkey
     assert report == error_report(out_of_bag_reference(model, ds.x1[:, None], seed), ds.y, ds.a)
 
 
-def stored_form(feature, threshold, left, right, value):
-    """The Tree of a tree whose leaves are marked feature == left == right == -1."""
+def stored_form(feature, threshold, left, right, value, max_depth):
+    """The Tree of a tree whose leaves are marked feature == left == right == -1.
+
+    Features are stored as uint8 and node ids in the narrowest unsigned type
+    that holds the 2**(max_depth + 1) - 1 nodes of a tree ``max_depth`` deep.
+    """
     leaf = feature < 0
     nodes = np.arange(feature.shape[0])
+    node_ids = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64)
+                    if np.iinfo(t).max >= 2 ** (max_depth + 1) - 2)
+    children = np.column_stack([np.where(leaf, nodes, left), np.where(leaf, nodes, right)])
     return estimators.Tree(
-        feature=np.where(leaf, 0, feature),
+        feature=np.where(leaf, 0, feature).astype(np.uint8),
         threshold=np.where(leaf, np.inf, threshold),
-        children=np.column_stack([np.where(leaf, nodes, left), np.where(leaf, nodes, right)]).ravel(),
+        children=children.ravel().astype(node_ids),
         value=value,
     )
 
@@ -903,7 +913,7 @@ def test_grower_matches_the_per_feature_reference(seed, x_kind):
         tree = _grow_tree(xmat, _presort(xmat), y, counts, max_depth, min_leaf)
         sample = np.repeat(np.arange(y.shape[0]), counts)
         want = reference_tree(xmat[sample], y[sample], max_depth, min_leaf)
-        assert_same_tree(tree, stored_form(*want), case)
+        assert_same_tree(tree, stored_form(*want, max_depth), case)
 
 
 def reference_predict(reference, xmat):
@@ -953,7 +963,7 @@ def test_traversal_walks_a_chain_deeper_than_max_depth():
     reference = [np.array(column) for column in zip(*nodes)]
     v = np.concatenate([np.arange(-1.0, depth + 2.0, 0.5), [np.nan, np.inf, -np.inf]])
     xmat = np.column_stack([v, v])
-    got = _tree_predict(stored_form(*reference), xmat)
+    got = _tree_predict(stored_form(*reference, depth), xmat)
     assert got.tobytes() == reference_predict(reference, xmat).tobytes()
     finite = np.isfinite(v)
     assert np.array_equal(got[finite], np.clip(np.ceil(v[finite]), 0.0, depth))
