@@ -270,15 +270,12 @@ def test_uint8_bool_and_int64_labels_give_the_same_report(block, monkeypatch):
     reports = [dataclasses.astuple(error_report(predictions, truths, groups.astype(t)))
                for t in dtypes]
     assert repr(reports[1]) == repr(reports[2]) == repr(reports[0])
-    for dtype in (np.int64, np.uint8):
+    for dtype, shown in ((np.int64, "np.int64(2)"), (np.uint8, "np.uint8(2)")):
         stray = groups.astype(dtype)
         stray[[20, 33]] = 2, 3
-        message = "group labels must be 0 or 1, got %r" % (stray[20],)
-        assert message in ("group labels must be 0 or 1, got np.int64(2)",
-                           "group labels must be 0 or 1, got np.uint8(2)")
         with pytest.raises(ConfigError) as refused:
             error_report(predictions, truths, stray)
-        assert str(refused.value) == message
+        assert str(refused.value) == "group labels must be 0 or 1, got " + shown
     for dtype in dtypes:
         for label, sizes in ((0, "50 and 0"), (1, "0 and 50")):
             with pytest.raises(EmptyGroupError) as refused:
