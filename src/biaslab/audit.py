@@ -175,21 +175,12 @@ def _exact_sum(values: np.ndarray) -> float:
 
 
 def _checked_labels(labels: np.ndarray, name: str) -> np.ndarray:
-    """A block of 0/1 labels as uint8; ConfigError names the first other label.
-
-    A uint8 or bool block is its own label array; any other is compared with 1.
-    """
-    if labels.dtype == bool or labels.dtype == np.uint8:
-        ones = labels.view(np.uint8)
-        if labels.dtype == bool or ones.max() <= 1:
-            return ones
-        stray = ones > 1
-    else:
-        in1 = labels == 1
-        stray = ~(in1 | (labels == 0))
-        if not stray.any():
-            return in1.view(np.uint8)
-    raise ConfigError("%s must be 0 or 1, got %r" % (name, labels[stray][0]))
+    """A block of 0/1 labels as uint8; ConfigError names the first other label."""
+    in1 = labels == 1
+    stray = ~(in1 | (labels == 0))
+    if stray.any():
+        raise ConfigError("%s must be 0 or 1, got %r" % (name, labels[stray][0]))
+    return in1.view(np.uint8)
 
 
 def _count_ones(labels: np.ndarray, name: str) -> int:
@@ -208,8 +199,7 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     and sums each group's errors; the population's exact sum is theirs
     added. The second sums the squared deviations of each group's errors
     from its mean and of all the errors from the population mean, under
-    labels 0, 1 and 2. Both passes take a uint8 or bool block of labels as
-    its own 0/1 label array and compare any other with 1.
+    labels 0, 1 and 2.
 
     Raises ConfigError if the lengths differ or a label is not 0 or 1, and
     EmptyGroupError if either group has no rows.
@@ -240,14 +230,12 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     deviations = np.empty((2, min(n, _BLOCK)))
     labelled = np.full((2, min(n, _BLOCK)), 2, np.uint8)
 
-    own = groups.dtype == bool or groups.dtype == np.uint8
-
     def squares():
         """Each block's squared deviations from its group's mean (label 0 or 1), then from the
         population's (label 2), in one array."""
         for block in _blocks(0, n):
             e = predictions[block] - truths[block]
-            labels = groups[block].view(np.uint8) if own else groups[block] == 1
+            labels = groups[block] == 1
             d, d_labels = deviations[:, : e.shape[0]], labelled[:, : e.shape[0]]
             np.subtract(e, np.where(labels, b1, b0), out=d[0])
             np.subtract(e, b_pop, out=d[1])

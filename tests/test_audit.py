@@ -260,8 +260,8 @@ def test_stray_group_labels_rejected(label):
 
 @pytest.mark.parametrize("block", [7, audit._BLOCK])
 def test_uint8_bool_and_int64_labels_give_the_same_report(block, monkeypatch):
-    # uint8 and bool blocks are their own 0/1 labels; int64 ones are compared
-    # with 1. Strays and empty groups are refused alike, after earlier blocks.
+    # Every label dtype is compared with 0 and 1 in the first pass. Strays and
+    # empty groups are refused alike, after earlier blocks.
     monkeypatch.setattr(audit, "_BLOCK", block)
     rng = np.random.default_rng(31)
     predictions, truths = rng.standard_normal(50), rng.standard_normal(50)
