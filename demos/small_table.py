@@ -13,13 +13,14 @@ of rows.
 The full-size run (thirty replications) is:  biaslab table1
 """
 
+import dataclasses
 import time
 
 from biaslab.experiment import render, run, table1_config
 
 
 def main():
-    config = table1_config(replications=2, base_seed=20240914)
+    config = dataclasses.replace(table1_config(), replications=2)
     start = time.perf_counter()
     rows = run(config)
     elapsed = time.perf_counter() - start

@@ -6,8 +6,11 @@ Subcommands:
 * ``analytic`` evaluate the closed-form group errors for a beta/mixture pair
 * ``table1``   run the built-in ten-cell reference grid
 
+``run`` and ``table1`` are one grid command with the same flags; they differ
+only in where the config comes from and in the default ``--format``.
+
 Exit codes: 0 on a full run, 1 when any cell's analytic comparison is
-inconsistent, 2 on configuration errors.
+inconsistent, 2 on configuration errors and on output that cannot be written.
 """
 
 from __future__ import annotations
@@ -23,15 +26,7 @@ from . import experiment
 from .analytic_linear import bias_vanishes_condition, omitted_group_errors
 from .analytic_probit import omitted_group_errors_probit
 from .exceptions import BiaslabError, ConfigError
-from .experiment import (
-    DEFAULT_REPLICATIONS,
-    DEFAULT_SEED,
-    _load_json,
-    load_config,
-    parse_mixture,
-    run,
-    table1_config,
-)
+from .experiment import _load_json, load_config, parse_mixture, run, table1_config
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,14 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="run an experiment grid from a JSON config")
     run_p.add_argument("--config", required=True, help="path to the JSON config")
-    run_p.add_argument("--seed", type=int, default=None, help="override the config's base seed")
-    run_p.add_argument(
-        "--replications", type=int, default=None, help="override the config's replication count"
-    )
-    run_p.add_argument(
-        "--format", choices=("csv", "markdown", "json"), default="csv", dest="fmt"
-    )
-    run_p.add_argument("--out", default=None, help="output path (default: stdout)")
+    _grid_flags(run_p, "csv")
 
     ana_p = sub.add_parser("analytic", help="closed-form group errors, printed as JSON")
     ana_p.add_argument("--family", choices=("linear", "probit"), required=True)
@@ -61,13 +49,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ana_p.add_argument("--mixture", required=True, help="path to a JSON mixture spec")
 
     t1_p = sub.add_parser("table1", help="run the built-in ten-cell reference grid")
-    t1_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    t1_p.add_argument("--replications", type=int, default=DEFAULT_REPLICATIONS)
-    t1_p.add_argument(
-        "--format", choices=("csv", "markdown", "json"), default="markdown", dest="fmt"
-    )
-    t1_p.add_argument("--out", default=None, help="output path (default: stdout)")
+    _grid_flags(t1_p, "markdown")
     return parser
+
+
+def _grid_flags(grid_p, fmt: str) -> None:
+    """The flags that run and table1 share; fmt is the default --format."""
+    grid_p.add_argument("--seed", type=int, default=None, help="override the config's base seed")
+    grid_p.add_argument(
+        "--replications", type=int, default=None, help="override the config's replication count"
+    )
+    grid_p.add_argument("--format", choices=("csv", "markdown", "json"), default=fmt, dest="fmt")
+    grid_p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _parse_beta(text: str) -> tuple[float, float, float]:
@@ -80,6 +73,10 @@ def _parse_beta(text: str) -> tuple[float, float, float]:
     return values
 
 
+def _cannot_write(path, err: OSError) -> ConfigError:
+    return ConfigError("cannot write %s: %s" % ("stdout" if path is None else repr(path), err))
+
+
 def _open_out(path):
     """--out opened for writing (None: stdout) before the grid runs: a bad path costs no work."""
     if path is None:
@@ -87,23 +84,31 @@ def _open_out(path):
     try:
         return open(path, "w")
     except OSError as err:
-        raise ConfigError("cannot write %r: %s" % (path, err)) from err
+        raise _cannot_write(path, err) from err
 
 
-def _run_and_emit(config, args) -> int:
+def _cmd_grid(args) -> int:
+    """run's config or table1's, with --seed and --replications where given, run and written.
+
+    An OSError from writing, flushing or closing the output is a ConfigError
+    naming it, but one from the grid itself propagates.
+    """
+    config = load_config(args.config) if args.command == "run" else table1_config()
+    overrides = {"base_seed": args.seed, "replications": args.replications}
+    config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
     with _open_out(args.out) as out:
         rows = run(config)
-        out.write(experiment.render(rows, args.fmt))  # on the module, so a tracer's wrapper sees it
+        text = experiment.render(rows, args.fmt)  # on the module, so a tracer's wrapper sees it
+        try:
+            out.write(text)
+            out.flush()  # else a short report to stdout fails at exit, outside any handler
+            if args.out is not None:
+                out.close()  # here, so that its errors are checked too
+        except OSError as err:
+            with contextlib.suppress(OSError):
+                out.close()  # drops the unwritten text, which exit would flush again
+            raise _cannot_write(args.out, err) from err
     return 1 if any(r.verdict == "inconsistent" for r in rows) else 0
-
-
-def _cmd_run(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, base_seed=args.seed)
-    if args.replications is not None:
-        config = dataclasses.replace(config, replications=args.replications)
-    return _run_and_emit(config, args)
 
 
 def _cmd_analytic(args) -> int:
@@ -124,12 +129,7 @@ def _cmd_analytic(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analytic":
-            return _cmd_analytic(args)
-        config = table1_config(replications=args.replications, base_seed=args.seed)
-        return _run_and_emit(config, args)
+        return _cmd_analytic(args) if args.command == "analytic" else _cmd_grid(args)
     except BiaslabError as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

@@ -156,6 +156,11 @@ class ResultRow:
 _ROW_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "reports")
 _CSV_FIELDS = tuple(name for name in _ROW_FIELDS if name not in ("replications", "error"))
 CSV_HEADER = ",".join(_CSV_FIELDS)
+# The markdown table's (title, field) columns.
+_MARKDOWN_COLUMNS = (
+    ("DGP", "dgp"), ("Model", "model"), ("Features", "features"), ("b_pop", "b_pop"),
+    ("b_group0", "b_g0"), ("b_group1", "b_g1"), ("tau", "tau"),
+)
 
 
 def analytic_for_cell(
@@ -266,11 +271,10 @@ def run(config: ExperimentConfig, keep_reports: bool = False) -> list[ResultRow]
     ]
 
 
-def table1_config(
-    replications: int = DEFAULT_REPLICATIONS, base_seed: int = DEFAULT_SEED
-) -> ExperimentConfig:
+def table1_config() -> ExperimentConfig:
     """The built-in ten-cell grid at the reference 10,000 rows per group.
 
+    Its seed and replication count are ``ExperimentConfig``'s defaults.
     Row order matches the published layout: linear, logistic, probit,
     forest (both on the linear DGP), then polynomial; each model first
     with both features, then with X1 only.
@@ -292,12 +296,13 @@ def table1_config(
     ):
         for features in FEATURE_SETS:
             cells.append(ExperimentCell(dgp=dgp(family), model=model, features=features))
-    return ExperimentConfig(
-        cells=tuple(cells), replications=replications, base_seed=base_seed
-    )
+    return ExperimentConfig(cells=tuple(cells))
 
 
-def _sig6(value) -> str:
+def _cell(value) -> str:
+    """One csv or markdown cell: a string as it is, a number to 6 significant digits."""
+    if isinstance(value, str):
+        return value
     if value is None:
         return ""
     if isinstance(value, float) and math.isnan(value):
@@ -305,31 +310,24 @@ def _sig6(value) -> str:
     return "%.6g" % value
 
 
+def _markdown_row(cells) -> str:
+    return "| %s |" % " | ".join(cells)
+
+
 def render(rows: list[ResultRow], fmt: str) -> str:
     """Render rows as csv, markdown or json text (6 significant digits for
     the table formats; json keeps full precision)."""
-    if fmt == "csv":
-        lines = [CSV_HEADER]
-        for r in rows:
-            values = (getattr(r, name) for name in _CSV_FIELDS)
-            lines.append(",".join(v if isinstance(v, str) else _sig6(v) for v in values))
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        header = "| DGP | Model | Features | b_pop | b_group0 | b_group1 | tau |"
-        rule = "|---|---|---|---|---|---|---|"
-        lines = [header, rule]
-        for r in rows:
-            lines.append(
-                "| %s | %s | %s | %s | %s | %s | %s |"
-                % (
-                    r.dgp, r.model, r.features,
-                    _sig6(r.b_pop), _sig6(r.b_g0), _sig6(r.b_g1), _sig6(r.tau),
-                )
-            )
-        return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps({"rows": [r.to_dict() for r in rows]}, indent=2, allow_nan=False) + "\n"
-    raise ConfigError("unknown output format %r" % (fmt,))
+    if fmt == "csv":
+        lines = [CSV_HEADER] + [",".join(_cell(getattr(r, f)) for f in _CSV_FIELDS) for r in rows]
+    elif fmt == "markdown":
+        titles, names = zip(*_MARKDOWN_COLUMNS)
+        lines = [_markdown_row(titles), "|---" * len(titles) + "|"]
+        lines += [_markdown_row(_cell(getattr(r, f)) for f in names) for r in rows]
+    else:
+        raise ConfigError("unknown output format %r" % (fmt,))
+    return "\n".join(lines) + "\n"
 
 
 def _fields_from(cls, level: str, obj, **json_keys) -> dict:

@@ -258,6 +258,37 @@ def test_stray_group_labels_rejected(label):
         error_report([1.0, 2.0, 3.0, 4.0], [0.0] * 4, [0, 1, label, 1])
 
 
+@pytest.mark.parametrize("block", [1000, 8192])
+@pytest.mark.parametrize("bin_terms", [1, 7, 1000, 20_000])
+def test_bins_joined_early_give_the_same_sums(bin_terms, block, monkeypatch):
+    # _label_totals joins its bins into the int totals once _BIN_TERMS terms are
+    # binned, 2**26 by default, which no workload reaches: joining after every
+    # block, or after a few, changes no bit.
+    rng = np.random.default_rng(30_000)
+    size = 30_000
+
+    def terms():
+        """Terms of either sign whose magnitudes run from e**-30 to e**30."""
+        return rng.choice([-1.0, 1.0], size) * np.exp(rng.uniform(-30.0, 30.0, size))
+
+    values, truths = terms(), terms()
+    groups = (rng.random(size) < 0.4).astype(np.uint8)
+    infinite = values.copy()
+    infinite[[3, 20_003]] = math.inf, -math.inf
+
+    def sums():
+        return _exact_sum(values), mean_se(values), error_report(values, truths, groups)
+
+    want = sums()
+    monkeypatch.setattr(audit, "_BIN_TERMS", bin_terms)
+    monkeypatch.setattr(audit, "_BLOCK", block)
+    got = sums()
+    assert same_bits(got[0], want[0])
+    assert all(map(same_bits, got[1], want[1]))
+    assert all(map(same_bits, dataclasses.astuple(got[2]), dataclasses.astuple(want[2])))
+    assert math.isnan(_exact_sum(infinite))
+
+
 @pytest.mark.parametrize("block", [7, audit._BLOCK])
 def test_uint8_bool_and_int64_labels_give_the_same_report(block, monkeypatch):
     # Every label dtype is compared with 0 and 1 in the first pass. Strays and

@@ -1,8 +1,10 @@
 """Experiment grid: configs, aggregation, analytic attachment, rendering, CLI."""
 
+import dataclasses
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -551,6 +553,38 @@ def test_markdown_layout():
     assert lines[2].count("|") == 8
 
 
+def test_table_bytes_of_a_consistent_a_forest_and_an_error_row():
+    # Every csv and markdown cell goes through one rule: strings as they are,
+    # numbers to 6 significant digits, NaN as nan and a missing limit empty.
+    rows = [
+        experiment.ResultRow(
+            "linear", "ols", "x1_only", 5, 1.5e-17, 1.0012345678, -0.99876543, -1.99999999,
+            2.5e-18, 0.0123456, 0.0123, 0.017, 1.0, -1.0, -2.0, "consistent",
+        ),
+        experiment.ResultRow(
+            "linear", "forest", "both", 5, -0.0001234567, 0.5, -0.5, -1.0,
+            1e-5, 0.02, 0.03, 0.04, verdict="",
+        ),
+        experiment.ResultRow(
+            "probit", "probit", "both", 5, analytic_b_g0=0.0, analytic_b_g1=0.0,
+            analytic_tau=0.0, verdict="error", error="replication 0 (seed 1): separation",
+        ),
+    ]
+    assert render(rows, "markdown") == (
+        "| DGP | Model | Features | b_pop | b_group0 | b_group1 | tau |\n"
+        "|---|---|---|---|---|---|---|\n"
+        "| linear | ols | x1_only | 1.5e-17 | 1.00123 | -0.998765 | -2 |\n"
+        "| linear | forest | both | -0.000123457 | 0.5 | -0.5 | -1 |\n"
+        "| probit | probit | both | nan | nan | nan | nan |\n"
+    )
+    assert render(rows, "csv") == CSV_HEADER + "\n" + (
+        "linear,ols,x1_only,1.5e-17,1.00123,-0.998765,-2,2.5e-18,0.0123456,0.0123,0.017,"
+        "1,-1,-2,consistent\n"
+        "linear,forest,both,-0.000123457,0.5,-0.5,-1,1e-05,0.02,0.03,0.04,,,,\n"
+        "probit,probit,both,nan,nan,nan,nan,nan,nan,nan,nan,0,0,0,error\n"
+    )
+
+
 def test_json_round_trip():
     rows = run(small_config([small_cell(n=300)]))
     payload = json.loads(render(rows, "json"))
@@ -811,6 +845,66 @@ def test_cli_checks_out_before_the_grid_runs(tmp_path, capsys, monkeypatch):
     for argv in (["run", "--config", write_config(tmp_path, config_json())], ["table1"]):
         assert main(argv + ["--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: cannot write %r" % out)
+
+
+def test_run_and_table1_share_their_grid_flags():
+    parser = cli._build_parser()
+    run_args = parser.parse_args(["run", "--config", "c.json"])
+    table1_args = parser.parse_args(["table1"])
+    for args in (run_args, table1_args):
+        assert (args.seed, args.replications, args.out) == (None, None, None)
+    assert (run_args.fmt, table1_args.fmt) == ("csv", "markdown")
+
+
+def test_table1_overrides_its_config_with_the_flags(capsys, monkeypatch):
+    configs = []
+    monkeypatch.setattr(cli, "run", lambda config: configs.append(config) or [])
+    assert main(["table1", "--seed", "7", "--replications", "3"]) == 0
+    assert main(["table1"]) == 0
+    assert capsys.readouterr().out == render([], "markdown") * 2
+    assert configs == [
+        dataclasses.replace(table1_config(), base_seed=7, replications=3),
+        table1_config(),
+    ]
+    assert (configs[1].base_seed, configs[1].replications) == (20240914, 30)
+
+
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+def test_run_reports_an_out_that_cannot_be_written(tmp_path, capsys):
+    # /dev/full opens, then every write to it fails with ENOSPC.
+    config = write_config(tmp_path, config_json())
+    assert main(["run", "--config", config, "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write '/dev/full': ")
+    assert "Traceback" not in err
+
+
+@needs_dev_full
+def test_table1_reports_an_out_that_cannot_be_written(capsys, monkeypatch):
+    rows = run(small_config([small_cell(n=50)], replications=2))
+    monkeypatch.setattr(cli, "run", lambda config: rows)  # no ten-cell grid
+    assert main(["table1", "--out", "/dev/full"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write '/dev/full': ")
+    assert "Traceback" not in err
+
+
+@needs_dev_full
+def test_a_stdout_that_cannot_be_written_exits_2(tmp_path):
+    # A short report sits in stdout's buffer until the command flushes it.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "biaslab", "run", "--config",
+             write_config(tmp_path, config_json())],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_runs_the_extreme_64_bit_seeds(tmp_path, capsys):
