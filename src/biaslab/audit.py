@@ -201,14 +201,14 @@ def error_report(predictions, truths, groups) -> ErrorReport:
     from its mean and of all the errors from the population mean, under
     labels 0, 1 and 2.
 
-    Raises ConfigError if the lengths differ or a label is not 0 or 1, and
-    EmptyGroupError if either group has no rows.
+    Raises ConfigError if the inputs are not 1-d arrays of equal length or
+    a label is not 0 or 1, and EmptyGroupError if either group has no rows.
     """
     predictions = np.asarray(predictions, dtype=float)
     truths = np.asarray(truths, dtype=float)
     groups = np.asarray(groups)
-    if not predictions.shape == truths.shape == groups.shape:
-        raise ConfigError("predictions, truths and groups must have equal length")
+    if not predictions.shape == truths.shape == groups.shape == (groups.size,):
+        raise ConfigError("predictions, truths and groups must be 1-d, of equal length")
     n, n1 = groups.shape[0], 0
 
     def errors():

@@ -7,10 +7,13 @@ Subcommands:
 * ``table1``   run the built-in ten-cell reference grid
 
 ``run`` and ``table1`` are one grid command with the same flags; they differ
-only in where the config comes from and in the default ``--format``.
+only in where the config comes from and in the default ``--format``. Every
+subcommand writes its report through ``_write``, which checks the write, the
+flush and the close. ``analytic --beta`` takes three finite numbers.
 
 Exit codes: 0 on a full run, 1 when any cell's analytic comparison is
-inconsistent, 2 on configuration errors and on output that cannot be written.
+inconsistent, 2 on configuration errors and on a report that cannot be
+written, to ``--out`` or to stdout.
 """
 
 from __future__ import annotations
@@ -70,6 +73,8 @@ def _parse_beta(text: str) -> tuple[float, float, float]:
         raise ConfigError("--beta must be comma-separated numbers: %s" % err) from err
     if len(values) != 3:
         raise ConfigError("--beta needs exactly three values, got %d" % len(values))
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("beta entries must be finite")  # DgpSpec's rule
     return values
 
 
@@ -87,11 +92,26 @@ def _open_out(path):
         raise _cannot_write(path, err) from err
 
 
+def _write(out, path, text: str) -> None:
+    """Write text to out (path None: stdout), flush it and close it unless it is stdout.
+
+    An OSError from writing, flushing or closing is a ConfigError naming the output.
+    """
+    try:
+        out.write(text)
+        out.flush()  # else a short report to stdout fails at exit, outside any handler
+        if path is not None:
+            out.close()  # here, so that its errors are checked too
+    except OSError as err:
+        with contextlib.suppress(OSError):
+            out.close()  # drops the unwritten text, which exit would flush again
+        raise _cannot_write(path, err) from err
+
+
 def _cmd_grid(args) -> int:
     """run's config or table1's, with --seed and --replications where given, run and written.
 
-    An OSError from writing, flushing or closing the output is a ConfigError
-    naming it, but one from the grid itself propagates.
+    An OSError from the grid itself propagates; only the output's are ConfigErrors.
     """
     config = load_config(args.config) if args.command == "run" else table1_config()
     overrides = {"base_seed": args.seed, "replications": args.replications}
@@ -99,15 +119,7 @@ def _cmd_grid(args) -> int:
     with _open_out(args.out) as out:
         rows = run(config)
         text = experiment.render(rows, args.fmt)  # on the module, so a tracer's wrapper sees it
-        try:
-            out.write(text)
-            out.flush()  # else a short report to stdout fails at exit, outside any handler
-            if args.out is not None:
-                out.close()  # here, so that its errors are checked too
-        except OSError as err:
-            with contextlib.suppress(OSError):
-                out.close()  # drops the unwritten text, which exit would flush again
-            raise _cannot_write(args.out, err) from err
+        _write(out, args.out, text)
     return 1 if any(r.verdict == "inconsistent" for r in rows) else 0
 
 
@@ -122,7 +134,7 @@ def _cmd_analytic(args) -> int:
     non_finite = [name for name, value in payload.items() if not math.isfinite(value)]
     if non_finite:  # json would print NaN or Infinity, which are not JSON
         raise ConfigError("closed form is not finite: %s" % ", ".join(non_finite))
-    print(json.dumps({"family": args.family, **payload}, indent=2))
+    _write(sys.stdout, None, json.dumps({"family": args.family, **payload}, indent=2) + "\n")
     return 0
 
 

@@ -156,10 +156,17 @@ class ResultRow:
 _ROW_FIELDS = tuple(f.name for f in fields(ResultRow) if f.name != "reports")
 _CSV_FIELDS = tuple(name for name in _ROW_FIELDS if name not in ("replications", "error"))
 CSV_HEADER = ",".join(_CSV_FIELDS)
-# The markdown table's (title, field) columns.
+
+
+def _column(name: str) -> str:
+    """The column of an ErrorReport or reference field: b_group0 -> b_g0, se_group0 -> se_g0."""
+    return name.replace("group", "g")
+
+
+# The markdown table's (title, field) columns; a statistic's title is its report field.
 _MARKDOWN_COLUMNS = (
-    ("DGP", "dgp"), ("Model", "model"), ("Features", "features"), ("b_pop", "b_pop"),
-    ("b_group0", "b_g0"), ("b_group1", "b_g1"), ("tau", "tau"),
+    ("DGP", "dgp"), ("Model", "model"), ("Features", "features"),
+    *((name, _column(name)) for name in _SE_OF),
 )
 
 
@@ -243,19 +250,14 @@ def run_cell(
             row.error = "replication %d (seed %d): %s" % (r, seed, failure)
             return row
     report = aggregate(reports)
-    row.b_pop, row.b_g0, row.b_g1, row.tau = (
-        report.b_pop, report.b_group0, report.b_group1, report.tau
-    )
-    row.se_pop, row.se_g0, row.se_g1, row.se_tau = (
-        report.se_pop, report.se_group0, report.se_group1, report.se_tau
-    )
+    for name in (*_SE_OF, *_SE_OF.values()):
+        setattr(row, _column(name), getattr(report, name))
     if (analytic := cell.analytic) is not None:
         z_scores = compare(analytic, report)
         if cell.model == "ols":  # b_pop is rounding, see the module docstring
             del z_scores["b_pop"]
-        row.analytic_b_g0 = analytic.b_group0
-        row.analytic_b_g1 = analytic.b_group1
-        row.analytic_tau = analytic.tau
+        for name in ("b_group0", "b_group1", "tau"):
+            setattr(row, "analytic_" + _column(name), getattr(analytic, name))
         consistent = all(abs(z) <= config.z_threshold for z in z_scores.values())
         row.verdict = "consistent" if consistent else "inconsistent"
     if keep_reports:
@@ -305,8 +307,6 @@ def _cell(value) -> str:
         return value
     if value is None:
         return ""
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return "%.6g" % value
 
 

@@ -159,8 +159,13 @@ def test_each_input_rule_raises_config_error(refuse):
         (lambda: predict(FittedModel("tobit", "x1_only", (0.0, 1.0)), [0.0]), "model family"),
         (lambda: error_report([0.0, 1.0], [0.0, 1.0], [0]), "equal length"),
         (lambda: error_report([0.0, 1.0], [0.0, 1.0], [0, 2]), "0 or 1"),
+        (lambda: error_report([[0.0, 1.0]] * 2, [[0.0, 1.0]] * 2, [[0, 1]] * 2), "equal length"),
+        (lambda: error_report(0.0, 0.0, 0), "equal length"),
     ],
-    ids=["design-x2", "mle-labels", "forest-rows", "predict-family", "audit-length", "audit-label"],
+    ids=[
+        "design-x2", "mle-labels", "forest-rows", "predict-family", "audit-length", "audit-label",
+        "audit-2d", "audit-0d",
+    ],
 )
 def test_estimator_and_audit_refusals_are_biaslab_errors(refuse, message):
     # run_cell turns a BiaslabError into an error row; a plain ValueError would escape it.
@@ -461,6 +466,37 @@ def test_an_error_report_is_a_group_error_prediction_with_ses_and_counts():
     report = fake_report(3)
     assert isinstance(report, GroupErrorPrediction)
     assert list(vars(report)) == [f.name for f in fields(ErrorReport)]
+
+
+# Each statistic column of a row and the field it holds, of the aggregated
+# report or of the cell's reference, written out pair by pair.
+ROW_STATISTICS = {
+    "b_pop": "b_pop", "b_g0": "b_group0", "b_g1": "b_group1", "tau": "tau",
+    "se_pop": "se_pop", "se_g0": "se_group0", "se_g1": "se_group1", "se_tau": "se_tau",
+}
+ROW_REFERENCE = {"analytic_b_g0": "b_group0", "analytic_b_g1": "b_group1", "analytic_tau": "tau"}
+
+
+@pytest.mark.parametrize("family, model", [("probit", "probit"), ("linear", "forest")])
+def test_each_row_column_holds_its_report_or_reference_field(family, model):
+    # Not ols: its in-sample errors cancel, so se_g0 = se_g1 and a swap would not show.
+    cell = small_cell(family=family, model=model, n=60)
+    row = run_cell(cell, 0, small_config([cell], replications=2), keep_reports=True)
+    assert row.verdict != "error", row.error
+    columns = set(CSV_HEADER.split(",")) - {"dgp", "model", "features", "verdict"}
+    assert set(ROW_STATISTICS) | set(ROW_REFERENCE) == columns
+    report = aggregate(list(row.reports))
+    values = [getattr(report, name) for name in ROW_STATISTICS.values()]
+    assert len(set(values)) == len(values)  # so a swapped pair would show
+    for column, name in ROW_STATISTICS.items():
+        assert getattr(row, column).hex() == getattr(report, name).hex(), column
+    for column, name in ROW_REFERENCE.items():
+        if cell.analytic is None:  # a forest cell has no reference
+            assert getattr(row, column) is None, column
+        else:
+            assert getattr(row, column).hex() == getattr(cell.analytic, name).hex(), column
+    if cell.analytic is not None:
+        assert cell.analytic.b_group0 != cell.analytic.b_group1
 
 
 SWEEP_CONFIG = Path(__file__).resolve().parent.parent / "benchmarks" / "configs" / "sweep.json"
@@ -895,16 +931,21 @@ def test_table1_reports_an_out_that_cannot_be_written(capsys, monkeypatch):
 @needs_dev_full
 def test_a_stdout_that_cannot_be_written_exits_2(tmp_path):
     # A short report sits in stdout's buffer until the command flushes it.
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "biaslab", "run", "--config",
-             write_config(tmp_path, config_json())],
-            stdout=full, stderr=subprocess.PIPE, text=True, timeout=300,
-            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-        )
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith("error: cannot write stdout: ")
-    assert "Traceback" not in proc.stderr
+    mix = tmp_path / "mixture.json"
+    mix.write_text(json.dumps(MIXTURE_JSON))
+    for command in (
+        ["run", "--config", write_config(tmp_path, config_json())],
+        ["analytic", "--family", "linear", "--beta=-2,1,1", "--mixture", str(mix)],
+    ):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "biaslab", *command],
+                stdout=full, stderr=subprocess.PIPE, text=True, timeout=300,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            )
+        assert proc.returncode == 2, (command[0], proc.stderr)
+        assert proc.stderr.startswith("error: cannot write stdout: ")
+        assert "Traceback" not in proc.stderr
 
 
 def test_cli_runs_the_extreme_64_bit_seeds(tmp_path, capsys):
@@ -1000,6 +1041,21 @@ def test_cli_analytic_linear(tmp_path, capsys):
     assert payload["bias_vanishes"] is False
 
 
+def test_cli_analytic_prints_indented_json_and_one_newline(tmp_path, capsys):
+    mix = tmp_path / "mixture.json"
+    mix.write_text(json.dumps(MIXTURE_JSON))
+    assert main(["analytic", "--family", "linear", "--beta=-2,1,1", "--mixture", str(mix)]) == 0
+    assert capsys.readouterr().out == (
+        '{\n  "family": "linear",\n  "b_pop": 0.0,\n  "b_group0": 1.0,\n  "b_group1": -1.0,\n'
+        '  "tau": -2.0,\n  "bias_vanishes": false\n}\n'
+    )
+    assert main(["analytic", "--family", "probit", "--beta=-2,1,1", "--mixture", str(mix)]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert list(payload) == ["family", "b_pop", "b_group0", "b_group1", "tau"]
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
 def test_cli_analytic_probit_rejects_violated_assumptions(tmp_path, capsys):
     correlated = {
         "groups": [
@@ -1058,6 +1114,12 @@ def test_cli_bad_beta(tmp_path, capsys):
     mix.write_text(json.dumps(MIXTURE_JSON))
     assert main(["analytic", "--family", "linear", "--beta=1,2", "--mixture", str(mix)]) == 2
     assert main(["analytic", "--family", "linear", "--beta=a,b,c", "--mixture", str(mix)]) == 2
+    capsys.readouterr()
+    # A non-finite entry is refused by the config's rule, before the closed form runs.
+    for beta in ("--beta=nan,1,1", "--beta=-2,1,inf"):
+        assert main(["analytic", "--family", "linear", beta, "--mixture", str(mix)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: beta entries must be finite\n")
 
 
 def test_cli_entry_point_runs_as_module(tmp_path):
