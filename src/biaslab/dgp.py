@@ -17,9 +17,12 @@ or bool array and gives the same bits.
 For classification families the stored ``y`` is the true risk Phi(index) or
 S(index) with no added noise, and ``z`` is the Bernoulli(y) draw; prediction
 errors are always measured against the risk, which only a simulation can
-observe. Phi and S are scipy's ``ndtr`` and ``expit``, read through
-``_special``, which loads scipy's compiled ufunc module on first use and
-not the scipy.special package: a linear or polynomial draw loads neither.
+observe. ``_RISK_FUNCTIONS`` maps each classification family to its risk
+function's name in ``_special``, Phi to scipy's ``ndtr`` and S to ``expit``;
+``conditional_mean`` and ``estimators.predict`` read it at call time, and it
+is the one place that says which families are classification ones.
+``_special`` loads scipy's compiled ufunc module on first use and not the
+scipy.special package: a linear or polynomial draw loads neither.
 """
 
 from __future__ import annotations
@@ -37,7 +40,8 @@ from .moments import MixtureSpec, _reals
 
 _BETA_LENGTH = {"linear": 3, "polynomial": 6, "probit": 3, "logit": 3}
 FAMILIES = tuple(_BETA_LENGTH)
-CLASSIFICATION_FAMILIES = ("probit", "logit")
+# The classification families' risk functions, Phi and S, by name in ``_special``.
+_RISK_FUNCTIONS = {"probit": "ndtr", "logit": "expit"}
 _SEED_MASK = (1 << 64) - 1
 # 100x the largest reference workload; far larger draws fail in numpy's allocator.
 MAX_N_PER_GROUP = 10_000_000
@@ -141,10 +145,8 @@ def conditional_mean(family: str, beta, x1: np.ndarray, x2: np.ndarray) -> np.nd
     h = beta[0] + beta[1] * x1 + beta[2] * x2
     if family == "polynomial":
         h = h + beta[3] * x1 * x1 + beta[4] * x2 * x2 + beta[5] * x1 * x2
-    if family == "probit":
-        return _special.ndtr(h)
-    if family == "logit":
-        return _special.expit(h)
+    if family in _RISK_FUNCTIONS:
+        return getattr(_special, _RISK_FUNCTIONS[family])(h)
     return h
 
 
@@ -181,7 +183,7 @@ def generate(spec: DgpSpec, seed: int) -> Dataset:
             x1[block] += m1
             x2[block] += m2
     a = np.repeat(np.array([0, 1], dtype=np.uint8), sizes)
-    classify = spec.family in CLASSIFICATION_FAMILIES
+    classify = spec.family in _RISK_FUNCTIONS
     z = np.empty(n, dtype=np.uint8) if classify else None
     noise = draws.reshape(-1)
     for block in audit._blocks(0, n):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _special, audit
-from .dgp import Dataset, DgpSpec, conditional_mean, derive_seed
+from .dgp import _RISK_FUNCTIONS, Dataset, DgpSpec, conditional_mean, derive_seed
 from .exceptions import (
     BiaslabError, ConfigError, ConvergenceError, DegenerateVarianceError, RankDeficiencyError,
     SeparationError,
@@ -722,14 +722,12 @@ def predict(model: FittedModel, x1, x2=None) -> np.ndarray:
         for tree in model.forest[1:]:
             total += _tree_predict(tree, xmat)
         return total / len(model.forest)
-    if model.family not in ("ols", "probit", "logit"):
+    if model.family not in ("ols", *_RISK_FUNCTIONS):
         raise ConfigError("unknown model family %r" % (model.family,))
     coef = np.asarray(model.coefficients, dtype=float)
     index = np.empty(columns[0].shape[0])
     for block, rows in _ProductBlocks(columns, products=False):
         np.matmul(coef, rows, out=index[block])
-    if model.family == "probit":
-        return _special.ndtr(index, out=index)
-    if model.family == "logit":
-        return _special.expit(index, out=index)
+    if model.family in _RISK_FUNCTIONS:
+        return getattr(_special, _RISK_FUNCTIONS[model.family])(index, out=index)
     return index

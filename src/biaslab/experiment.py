@@ -40,7 +40,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from .analytic_linear import GroupErrorPrediction, omitted_group_errors  # noqa: F401
 from .analytic_probit import omitted_group_errors_probit  # noqa: F401
 from .audit import _SE_OF, ErrorReport, column_mean_se, compare, error_report
-from .dgp import CLASSIFICATION_FAMILIES, DgpSpec, _SEED_MASK, _count, derive_seed, generate
+from .dgp import _RISK_FUNCTIONS, DgpSpec, _SEED_MASK, _count, derive_seed, generate
 from .estimators import (
     FEATURE_SETS,
     MIN_LEAF,
@@ -86,7 +86,7 @@ class ExperimentCell:
         if self.model not in MODELS:
             raise ConfigError("unknown model %r, expected one of %r" % (self.model, MODELS))
         _check_features(self.features)
-        if self.model in ("probit", "logit") and self.dgp.family not in CLASSIFICATION_FAMILIES:
+        if self.model in _RISK_FUNCTIONS and self.dgp.family not in _RISK_FUNCTIONS:
             raise ConfigError(
                 "%s model needs binary outcomes; DGP family %r has none"
                 % (self.model, self.dgp.family)

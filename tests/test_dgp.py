@@ -133,12 +133,13 @@ def test_outcome_means():
     assert poly.y[poly.a == 0].mean() == pytest.approx(2.5, abs=0.05)
 
 
-def test_classification_outputs_risk_and_draw():
-    spec = spec_for("probit", n=200_000)
+@pytest.mark.parametrize("family, risk", [("probit", "ndtr"), ("logit", "expit")])
+def test_classification_outputs_risk_and_draw(family, risk):
+    spec = spec_for(family, n=200_000)
     ds = generate(spec, seed=21)
-    from scipy.special import ndtr
+    import scipy.special
 
-    assert np.array_equal(ds.y, ndtr(-2.0 + ds.x1 + ds.x2))
+    assert np.array_equal(ds.y, getattr(scipy.special, risk)(-2.0 + ds.x1 + ds.x2))
     assert np.all((0.0 < ds.y) & (ds.y < 1.0))
     assert set(np.unique(ds.z)) <= {0, 1}
     # Calibration: within each risk decile the label rate tracks the risk.

@@ -129,8 +129,9 @@ def rank_designs():
 
 def test_block_r_factors_give_the_full_design_singular_value_ratio():
     # The rank rule reads the ratio from the blocks' stacked R factors; a
-    # full-design SVD is the reference. Below a ratio of 1e-12 both are
-    # rounding, and only the verdict is compared.
+    # full-design SVD is the reference. Both are within about eps of the
+    # truth in absolute terms, not relative ones. Below a ratio of 1e-12
+    # both are rounding, and only the verdict is compared.
     near_rule = set()
     for x1, x2 in rank_designs():
         full = np.linalg.svd(np.column_stack([np.ones_like(x1), x1, x2]), compute_uv=False)
@@ -138,7 +139,7 @@ def test_block_r_factors_give_the_full_design_singular_value_ratio():
         blocks = estimators._singular_values(estimators._ProductBlocks((x1, x2)))
         got = blocks[-1] / blocks[0]
         if want >= 1e-12:
-            assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+            assert abs(got - want) <= np.finfo(float).eps / 4
         data = Dataset(x1=x1, x2=x2, a=np.zeros(x1.shape[0], dtype=np.int64), y=x1 - x2)
         if want <= 1e-10:
             with pytest.raises(RankDeficiencyError, match="rank deficient"):

@@ -113,6 +113,8 @@ def test_cell_validation():
     with pytest.raises(ConfigError):
         small_cell(family="linear", model="probit")  # needs binary outcomes
     with pytest.raises(ConfigError):
+        small_cell(family="polynomial", model="logit")
+    with pytest.raises(ConfigError):
         ExperimentConfig(cells=())
 
 
@@ -1137,7 +1139,8 @@ def test_cli_entry_point_runs_as_module(tmp_path):
 
 def test_scipy_special_loads_on_the_first_probit_or_logit_call(tmp_path):
     # The first read of _special's names loads only scipy's compiled ufunc
-    # module; a later import of the package hands out the same objects.
+    # module and leaves scipy unimported; a later import of the package sets
+    # its _special_ufuncs attribute and hands out the same objects.
     dgp = {"family": "linear", "beta": [-2.0, 1.0, 1.0], "mixture": MIXTURE_JSON, "n_per_group": 50}
     cells = [{"dgp": dgp, "model": model, "features": "both"} for model in ("ols", "forest")]
     config, mixture = tmp_path / "config.json", tmp_path / "mixture.json"
@@ -1154,12 +1157,16 @@ before = loaded()
 spec = biaslab.DgpSpec("probit", experiment.TABLE_BETA, experiment.TABLE_MIXTURE, 200)
 biaslab.fit_probit(biaslab.generate(spec, 1), "both")
 after = loaded()
+scipy_loaded = "scipy" in sys.modules
 import scipy.special
+attribute = hasattr(scipy.special, "_special_ufuncs")
 same = [getattr(_special, n) is getattr(scipy.special, n) for n in ("ndtr", "log_ndtr", "expit")]
-print(json.dumps({{"code": code, "before": before, "after": after, "same": same}}))
+print(json.dumps({{"code": code, "before": before, "after": after, "scipy": scipy_loaded,
+                  "attribute": attribute, "same": same}}))
 """)
     assert json.loads(out.splitlines()[-1]) == {
-        "code": 0, "before": [False, False], "after": [False, True], "same": [True, True, True]
+        "code": 0, "before": [False, False], "after": [False, False], "scipy": False,
+        "attribute": True, "same": [True, True, True],
     }
     importers = [
         path.name for path in sorted((ROOT / "src" / "biaslab").glob("*.py"))
