@@ -20,7 +20,7 @@ from .analytic_probit import (
     omitted_group_errors_probit,
     std_normal_cdf,
 )
-from .audit import ErrorReport, compare, error_report
+from .audit import ErrorReport, error_report
 from .dgp import Dataset, DgpSpec, derive_seed, generate
 from .estimators import (
     FittedModel,
@@ -77,7 +77,6 @@ __all__ = [
     "ResultRow",
     "SeparationError",
     "bias_vanishes_condition",
-    "compare",
     "derive_seed",
     "error_report",
     "fit_forest",

@@ -1,4 +1,4 @@
-"""Group-level error statistics and their z-scores against an analytic prediction.
+"""Group-level error statistics: mean errors by population and group, with standard errors.
 
 The audited quantity is always e = prediction - truth, where truth is the
 regression outcome or, for classification, the true risk probability
@@ -8,8 +8,7 @@ computed with exactly rounded sums (``_label_totals``) of the errors and of
 their squared deviations, each square a correctly rounded numpy product,
 so a report is bit-identical under any permutation of its input rows and
 the weighted group means recombine to the population mean at machine
-precision. ``compare`` only scores; the verdict is decided in one place,
-``experiment.run_cell``.
+precision.
 """
 
 from __future__ import annotations
@@ -40,21 +39,17 @@ class ErrorReport(GroupErrorPrediction):
 _SE_OF = {"b_pop": "se_pop", "b_group0": "se_group0", "b_group1": "se_group1", "tau": "se_tau"}
 
 
-def mean_se(values) -> tuple[float, float]:
-    """Exactly rounded mean and its standard error std(ddof=1) / sqrt(n), 0 for n = 1.
-
-    The squared deviations are correctly rounded numpy products, summed
-    exactly like the values. Where a value is inf or nan the mean is IEEE's
-    sum of the non-finite values (inf, -inf or nan) over n; a finite exact
-    sum outside the float range reads as nan instead of an exception. The
-    standard error is nan wherever a squared deviation is not finite, so
-    huge errors read as non-finite statistics.
-    """
-    return column_mean_se(np.asarray(values, dtype=float)[:, None])[0]
-
-
 def column_mean_se(table) -> list[tuple[float, float]]:
-    """``mean_se`` of each column of a 2-d table, all columns in the same two exact-sum passes."""
+    """Each column's exactly rounded mean and its standard error std(ddof=1) / sqrt(n).
+
+    All columns share the same two exact-sum passes, and the standard error
+    is 0 for n = 1. The squared deviations are correctly rounded numpy
+    products, summed exactly like the values. Where a value is inf or nan
+    the mean is IEEE's sum of the non-finite values (inf, -inf or nan) over
+    n; a finite exact sum outside the float range reads as nan instead of an
+    exception. The standard error is nan wherever a squared deviation is not
+    finite, so huge errors read as non-finite statistics.
+    """
     table = np.asarray(table, dtype=float)
     n, m = table.shape
     labels = np.tile(np.arange(m), n)
@@ -219,7 +214,8 @@ def error_report(predictions, truths, groups) -> ErrorReport:
             n1 += int(np.count_nonzero(labels))
             yield predictions[block] - truths[block], labels
 
-    total0, total1 = _label_totals(errors(), 2)
+    with np.errstate(invalid="ignore"):  # inf - inf: nan, then a non-finite statistic
+        total0, total1 = _label_totals(errors(), 2)
     if n1 == 0 or n1 == n:
         raise EmptyGroupError("both groups must be nonempty, got sizes %d and %d" % (n - n1, n1))
     # A non-finite total decides the population's, as in _exact_sum.
@@ -258,21 +254,3 @@ def error_report(predictions, truths, groups) -> ErrorReport:
         n_group0=n - n1,
         n_group1=n1,
     )
-
-
-def compare(analytic: GroupErrorPrediction, empirical: ErrorReport) -> dict[str, float]:
-    """Z-score of each statistic, (empirical - analytic) / SE, by name.
-
-    The analytic value is the population limit of the fit, so no slack is
-    added to the SE. A zero SE gives z = 0 where the two values agree
-    exactly and inf otherwise.
-    """
-    z_scores = {}
-    for name, se in _SE_OF.items():
-        denom = getattr(empirical, se)
-        diff = getattr(empirical, name) - getattr(analytic, name)
-        if denom == 0.0:
-            z_scores[name] = 0.0 if diff == 0.0 else math.inf
-        else:
-            z_scores[name] = diff / denom
-    return z_scores

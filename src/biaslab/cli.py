@@ -28,6 +28,7 @@ import sys
 from . import experiment
 from .analytic_linear import bias_vanishes_condition, omitted_group_errors
 from .analytic_probit import omitted_group_errors_probit
+from .dgp import _beta
 from .exceptions import BiaslabError, ConfigError
 from .experiment import _load_json, load_config, parse_mixture, run, table1_config
 
@@ -66,16 +67,13 @@ def _grid_flags(grid_p, fmt: str) -> None:
     grid_p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
-def _parse_beta(text: str) -> tuple[float, float, float]:
+def _parse_beta(text: str, family: str) -> tuple[float, ...]:
+    """--beta's comma-separated numbers, held to the family's beta rule, as a config's are."""
     try:
-        values = tuple(float(part) for part in text.split(","))
+        values = [float(part) for part in text.split(",")]
     except ValueError as err:
         raise ConfigError("--beta must be comma-separated numbers: %s" % err) from err
-    if len(values) != 3:
-        raise ConfigError("--beta needs exactly three values, got %d" % len(values))
-    if not all(map(math.isfinite, values)):
-        raise ConfigError("beta entries must be finite")  # DgpSpec's rule
-    return values
+    return _beta(family, values)
 
 
 def _cannot_write(path, err: OSError) -> ConfigError:
@@ -124,7 +122,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_analytic(args) -> int:
-    beta = _parse_beta(args.beta)
+    beta = _parse_beta(args.beta, args.family)
     mixture = parse_mixture(_load_json(args.mixture, "mixture"))
     if args.family == "linear":
         payload = dataclasses.asdict(omitted_group_errors(beta, mixture))

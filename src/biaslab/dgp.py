@@ -47,6 +47,17 @@ _SEED_MASK = (1 << 64) - 1
 MAX_N_PER_GROUP = 10_000_000
 
 
+def _beta(family: str, values) -> tuple[float, ...]:
+    """A family's beta as floats; a wrong length or a non-finite entry is a ConfigError."""
+    beta = _reals("beta", values)
+    want = _BETA_LENGTH[family]
+    if len(beta) != want:
+        raise ConfigError("family %r needs %d coefficients, got %d" % (family, want, len(beta)))
+    if not all(map(math.isfinite, beta)):
+        raise ConfigError("beta entries must be finite")
+    return beta
+
+
 def _count(name: str, value, minimum=-math.inf, maximum=math.inf) -> int:
     """value as an int; a bool, a fraction or a value out of range is a ConfigError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -95,15 +106,7 @@ class DgpSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ConfigError("unknown family %r, expected one of %r" % (self.family, FAMILIES))
-        beta = _reals("beta", self.beta)
-        object.__setattr__(self, "beta", beta)
-        want = _BETA_LENGTH[self.family]
-        if len(beta) != want:
-            raise ConfigError(
-                "family %r needs %d coefficients, got %d" % (self.family, want, len(beta))
-            )
-        if not all(math.isfinite(b) for b in beta):
-            raise ConfigError("beta entries must be finite")
+        object.__setattr__(self, "beta", _beta(self.family, self.beta))
         n = _count("n_per_group", self.n_per_group, 1, MAX_N_PER_GROUP)
         object.__setattr__(self, "n_per_group", n)
         if min(self.group_sizes) < 2:

@@ -60,6 +60,14 @@ MAX_DEPTH = 8
 MIN_LEAF = 5
 
 
+def _check_forest_rows(n: int) -> None:
+    """A forest trains on n rows, which must be at least 2 * MIN_LEAF for its root to split."""
+    if n < 2 * MIN_LEAF:
+        raise ConfigError(
+            "a forest needs at least 2*MIN_LEAF = %d rows, got %d" % (2 * MIN_LEAF, n)
+        )
+
+
 def _check_features(features: str) -> None:
     if features not in FEATURE_SETS:
         raise ConfigError("features must be one of %r, got %r" % (FEATURE_SETS, features))
@@ -654,8 +662,7 @@ def fit_forest(data: Dataset, features: str, seed: int = 0) -> FittedModel:
     # trees do not use an intercept
     x = np.column_stack(columns)
     n = y.shape[0]
-    if n < 2 * MIN_LEAF:
-        raise ConfigError("need at least 2*MIN_LEAF rows, got %d" % n)
+    _check_forest_rows(n)
     trees, total, oob_trees = [], np.zeros(n), np.zeros(n, dtype=np.min_scalar_type(N_TREES))
     with ProcessPoolExecutor(
         min(len(os.sched_getaffinity(0)), N_TREES),

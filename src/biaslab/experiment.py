@@ -14,8 +14,8 @@ cell. A forest cell has none. The tests hold the closed forms to it. The
 cell also keeps that limit's coefficients (beta for a correctly specified
 cell), where each replication's probit or logit Newton fit starts.
 
-``run_cell`` alone turns audit.compare's z-scores into a verdict, consistent
-iff every scored |z| <= z_threshold. An ols cell's verdict leaves b_pop out:
+A cell's verdict is read from ``compare``'s z-scores: consistent iff every
+scored |z| <= z_threshold. An ols cell's verdict leaves b_pop out:
 the normal equations of a fit with an intercept make its in-sample mean
 error exactly 0, so the emitted b_pop and se_pop are rounding, no z-score.
 
@@ -39,12 +39,12 @@ from dataclasses import MISSING, dataclass, field, fields
 # by getattr and the test suite runs benchmarks/tests, so they stay bound.
 from .analytic_linear import GroupErrorPrediction, omitted_group_errors  # noqa: F401
 from .analytic_probit import omitted_group_errors_probit  # noqa: F401
-from .audit import _SE_OF, ErrorReport, column_mean_se, compare, error_report
+from .audit import _SE_OF, ErrorReport, column_mean_se, error_report
 from .dgp import _RISK_FUNCTIONS, DgpSpec, _SEED_MASK, _count, derive_seed, generate
 from .estimators import (
     FEATURE_SETS,
-    MIN_LEAF,
     _check_features,
+    _check_forest_rows,
     _population_errors,
     fit_forest,
     fit_logit,
@@ -91,10 +91,8 @@ class ExperimentCell:
                 "%s model needs binary outcomes; DGP family %r has none"
                 % (self.model, self.dgp.family)
             )
-        if self.model == "forest" and self.dgp.n_per_group < MIN_LEAF:
-            raise ConfigError(
-                "forest cells need n_per_group >= %d, got %d" % (MIN_LEAF, self.dgp.n_per_group)
-            )
+        if self.model == "forest":
+            _check_forest_rows(2 * self.dgp.n_per_group)
         analytic, start = analytic_for_cell(self)
         object.__setattr__(self, "analytic", analytic)
         object.__setattr__(self, "start", start)
@@ -231,6 +229,24 @@ def _non_finite(report: ErrorReport) -> str:
     """Name the report's non-finite statistics, or "" when all are finite."""
     names = [name for name, value in vars(report).items() if not math.isfinite(value)]
     return "non-finite statistics: %s" % ", ".join(names) if names else ""
+
+
+def compare(analytic: GroupErrorPrediction, empirical: ErrorReport) -> dict[str, float]:
+    """Z-score of each statistic, (empirical - analytic) / SE, by name.
+
+    The analytic value is the population limit of the fit, so no slack is
+    added to the SE. A zero SE gives z = 0 where the two values agree
+    exactly and inf otherwise.
+    """
+    z_scores = {}
+    for name, se in _SE_OF.items():
+        denom = getattr(empirical, se)
+        diff = getattr(empirical, name) - getattr(analytic, name)
+        if denom == 0.0:
+            z_scores[name] = 0.0 if diff == 0.0 else math.inf
+        else:
+            z_scores[name] = diff / denom
+    return z_scores
 
 
 def run_cell(

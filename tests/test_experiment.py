@@ -30,7 +30,7 @@ from biaslab.analytic_probit import (
     gaussian_cdf_expectation,
     omitted_coefficients_probit,
 )
-from biaslab.audit import ErrorReport, compare, error_report, mean_se
+from biaslab.audit import ErrorReport, column_mean_se, error_report
 from biaslab.cli import main
 from biaslab.dgp import DgpSpec, _count, derive_seed, generate
 from biaslab.estimators import FittedModel, fit_forest, fit_ols, fit_probit, predict
@@ -44,6 +44,7 @@ from biaslab.experiment import (
     TABLE_MIXTURE,
     aggregate,
     analytic_for_cell,
+    compare,
     load_config,
     parse_config,
     parse_mixture,
@@ -386,10 +387,10 @@ def test_aggregate_single_replication_passes_through():
 def written_out_aggregate(reports):
     if len(reports) == 1:
         return reports[0]
-    b_pop, se_pop = mean_se([r.b_pop for r in reports])
-    b_g0, se_g0 = mean_se([r.b_group0 for r in reports])
-    b_g1, se_g1 = mean_se([r.b_group1 for r in reports])
-    _, se_tau = mean_se([r.tau for r in reports])
+    ((b_pop, se_pop),) = column_mean_se([[r.b_pop] for r in reports])
+    ((b_g0, se_g0),) = column_mean_se([[r.b_group0] for r in reports])
+    ((b_g1, se_g1),) = column_mean_se([[r.b_group1] for r in reports])
+    ((_, se_tau),) = column_mean_se([[r.tau] for r in reports])
     return ErrorReport(
         b_pop=b_pop,
         b_group0=b_g0,
@@ -457,6 +458,43 @@ def test_statistic_table_loops_equal_the_written_out_statistics(reports, analyti
         z_got = compare(analytic, empirical)
         assert list(z_got) == list(z_expected) == ["b_pop", "b_group0", "b_group1", "tau"]
         assert [z.hex() for z in z_got.values()] == [z.hex() for z in z_expected.values()]
+
+
+def make_report(b_pop, b0, b1, se_pop, se0, se1):
+    return ErrorReport(
+        b_pop=b_pop,
+        b_group0=b0,
+        b_group1=b1,
+        tau=b1 - b0,
+        se_pop=se_pop,
+        se_group0=se0,
+        se_group1=se1,
+        se_tau=math.hypot(se0, se1),
+        n_pop=200,
+        n_group0=100,
+        n_group1=100,
+    )
+
+
+@pytest.mark.parametrize(
+    "stats, want",
+    [
+        ((0.0, 0.5, 0.0, 0.1, 0.1, 0.1),
+         {"b_group0": pytest.approx(5.0), "b_pop": 0.0, "b_group1": 0.0}),
+        ((0.0, -0.5, 0.5, 0.1, 0.1, 0.1),
+         {"b_group0": pytest.approx(-5.0), "b_group1": pytest.approx(5.0),
+          "tau": pytest.approx(1.0 / math.hypot(0.1, 0.1))}),
+        ((0.0, 0.0, 0.0, 0.0, 0.0, 0.0), {"b_pop": 0.0, "b_group0": 0.0, "b_group1": 0.0, "tau": 0.0}),
+        ((0.1, 0.0, 0.0, 0.0, 0.0, 0.0), {"b_pop": math.inf, "b_group0": 0.0}),
+    ],
+    ids=["z-scores", "signed", "zero-se-agree", "zero-se-differ"],
+)
+def test_compare_z_scores(stats, want):
+    # compare only scores; run_cell reads each |z| against z_threshold. A zero
+    # SE gives z = 0 where the values agree and inf where they differ.
+    z = compare(GroupErrorPrediction(0.0, 0.0, 0.0, 0.0), make_report(*stats))
+    assert list(z) == ["b_pop", "b_group0", "b_group1", "tau"]
+    assert {name: z[name] for name in want} == want
 
 
 def test_an_error_report_is_a_group_error_prediction_with_ses_and_counts():
@@ -846,6 +884,17 @@ def test_cli_refuses_malformed_values_at_parse_time(tmp_path, capsys, obj):
     assert captured.out == ""
 
 
+def test_one_row_minimum_refuses_a_forest_cell_at_parse_time_and_its_fit(tmp_path, capsys):
+    # A cell's 2 * n_per_group rows are what its forest trains on.
+    message = "a forest needs at least 2*MIN_LEAF = 10 rows, got 8"
+    assert main(["run", "--config", write_config(tmp_path, with_cell(4, model="forest"))]) == 2
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    with pytest.raises(ConfigError) as refused:
+        fit_forest(generate(small_cell(n=4).dgp, 1), "both", seed=0)
+    assert str(refused.value) == message
+    assert small_cell(model="forest", n=5).model == "forest"
+
+
 @pytest.mark.parametrize("seed", [2**64 + 3, -(2**64) + 3, -1])
 def test_cli_refuses_seed_flags_outside_64_bits(tmp_path, capsys, seed):
     # derive_seed reads seeds modulo 2**64, so each of these would rerun seed 3
@@ -1114,10 +1163,12 @@ def test_cli_analytic_refuses_a_non_finite_closed_form(tmp_path, capsys):
 def test_cli_bad_beta(tmp_path, capsys):
     mix = tmp_path / "mixture.json"
     mix.write_text(json.dumps(MIXTURE_JSON))
-    assert main(["analytic", "--family", "linear", "--beta=1,2", "--mixture", str(mix)]) == 2
     assert main(["analytic", "--family", "linear", "--beta=a,b,c", "--mixture", str(mix)]) == 2
     capsys.readouterr()
-    # A non-finite entry is refused by the config's rule, before the closed form runs.
+    # A wrong length or a non-finite entry is refused by the config's rule, before the
+    # closed form runs.
+    assert main(["analytic", "--family", "probit", "--beta=1,2", "--mixture", str(mix)]) == 2
+    assert capsys.readouterr().err == "error: family 'probit' needs 3 coefficients, got 2\n"
     for beta in ("--beta=nan,1,1", "--beta=-2,1,inf"):
         assert main(["analytic", "--family", "linear", beta, "--mixture", str(mix)]) == 2
         captured = capsys.readouterr()
